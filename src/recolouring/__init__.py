@@ -52,6 +52,7 @@ from .recognition import (
     is_co_chordal,
     is_compact_bruteforce,
     is_weakly_chordal,
+    qualifying_pair_in,
     qualifying_two_pair,
     two_pair_via_anticonnected_set,
 )
@@ -66,6 +67,7 @@ from .recolour import (
     RecolourStep,
     TriangleRemoval,
     bfs_distance,
+    certified_chromatic_number,
     find_elimination_certificate,
     recolour_compact,
     recolour_complete,

@@ -228,7 +228,9 @@ def _cmd_recolour(args: argparse.Namespace) -> int:
     b = _load_colouring(args.to_path, args.k, g.n)
     cert = find_elimination_certificate(g)
     if cert is None:
-        raise ValueError("graph admits no elimination certificate (not compact)")
+        raise ValueError(
+            f"{args.graph}: graph admits no elimination certificate (not compact)"
+        )
     seq = recolour_compact(g, cert, a, b)
     _emit(_sequence_to_obj(seq), args.out)
     return 0

@@ -177,8 +177,13 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
     smask = mask_of(s)
     if smask & ~g.full_mask:
         raise ValueError("vertex out of range")
-    for v in bits(smask):
-        if (smask ^ (1 << v)) & ~g.adj[v]:
+    return is_clique_mask(g, smask)
+
+
+def is_clique_mask(g: Graph, mask: int) -> bool:
+    """is_clique on a bitmask of vertices, which must lie in range."""
+    for v in bits(mask):
+        if (mask ^ (1 << v)) & ~g.adj[v]:
             return False
     return True
 

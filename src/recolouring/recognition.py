@@ -14,8 +14,9 @@ from .graph import (
     component_mask,
     induced_subgraph,
     is_anticonnected,
-    is_clique,
+    is_clique_mask,
     is_complete,
+    mask_of,
 )
 
 
@@ -267,34 +268,74 @@ def chromatic_number(g: Graph, upper_bound: Optional[int] = None) -> int:
 # -- compactness --------------------------------------------------------------
 
 
-def qualifying_two_pair(g: Graph) -> Optional[Tuple[TwoPair, str]]:
-    """First 2-pair orientation satisfying the nested-neighbourhood condition,
-    else the first whose x-side plus separator is a clique of at most three
-    vertices.  Oriented pairs are scanned in (x, y) lexicographic order."""
-    if is_complete(g):
-        raise ValueError("qualifying_two_pair is undefined on complete graphs")
-    oriented = []
-    for p in find_two_pairs(g):
-        oriented.append((p.x, p.y))
-        oriented.append((p.y, p.x))
-    oriented.sort()
-    for x, y in oriented:
-        if g.adj[x] & ~g.adj[y] == 0:
-            return _make_two_pair(g, x, y), "ii"
-    for x, y in oriented:
-        sep = g.adj[x] & g.adj[y]
-        cx = component_mask(g, x, removed=sep)
-        union = cx | sep
-        if union.bit_count() <= 3 and is_clique(g, bits(union)):
-            return _make_two_pair(g, x, y), "iii"
+def qualifying_pair_in(
+    g: Graph, active: int
+) -> Optional[Tuple[int, int, int, int, str]]:
+    """The first qualifying 2-pair of the subgraph induced on ``active``.
+
+    Returns ``(x, y, separator, x_side, tag)`` with the last three as
+    bitmasks, or None when no oriented pair qualifies (also when ``active``
+    is a clique).  Tag "ii" is the least (x, y) in lexicographic order with
+    x, y nonadjacent and N(x) contained in N(y); such a pair is always a
+    2-pair, because removing N(x) = N(x) & N(y) isolates x.  Only when no
+    such pair exists, tag "iii" is the least (x, y) whose x-side plus
+    separator is a clique of at most three vertices.  That union is then
+    exactly N[x], so x has degree at most 2, and the x-side stays inside N[x]
+    iff y is adjacent to every neighbour of x with a neighbour outside N[x].
+    The separator of a "iii" pair has at most one vertex: two would make it
+    all of N(x), which is case "ii".
+    """
+    adj = g.adj
+    for x in bits(active):
+        nx = adj[x] & active
+        cand = active & ~nx & ~(1 << x)
+        # test the candidates y one by one, or intersect the neighbourhoods
+        # of N(x), whichever set is smaller (dense versus sparse graphs)
+        if cand.bit_count() < nx.bit_count():
+            for y in bits(cand):
+                if not nx & ~adj[y]:
+                    return x, y, nx, 1 << x, "ii"
+            continue
+        for u in bits(nx):
+            cand &= adj[u]
+            if not cand:
+                break
+        if cand:
+            return x, (cand & -cand).bit_length() - 1, nx, 1 << x, "ii"
+    for x in bits(active):
+        nx = adj[x] & active
+        closed = nx | (1 << x)
+        if nx.bit_count() > 2 or not is_clique_mask(g, closed):
+            continue
+        cand = active & ~closed
+        for u in bits(nx):
+            if adj[u] & active & ~closed:
+                cand &= adj[u]
+        if cand:
+            y = (cand & -cand).bit_length() - 1
+            sep = nx & adj[y]
+            return x, y, sep, closed & ~sep, "iii"
     return None
 
 
-def subgraph_passes_compactness(g: Graph) -> bool:
-    """Definition check for one graph: complete, or has a qualifying 2-pair."""
+def qualifying_two_pair(g: Graph) -> Optional[Tuple[TwoPair, str]]:
+    """qualifying_pair_in on the whole graph, as a TwoPair and its tag;
+    undefined (ValueError) on complete graphs."""
     if is_complete(g):
-        return True
-    return qualifying_two_pair(g) is not None
+        raise ValueError("qualifying_two_pair is undefined on complete graphs")
+    found = qualifying_pair_in(g, g.full_mask)
+    if found is None:
+        return None
+    x, y, _, _, tag = found
+    return _make_two_pair(g, x, y), tag
+
+
+def subgraph_passes_compactness(g: Graph, active: Optional[int] = None) -> bool:
+    """Definition check for the subgraph induced on ``active`` (default: all
+    of g): complete, or has a qualifying 2-pair."""
+    if active is None:
+        active = g.full_mask
+    return is_clique_mask(g, active) or qualifying_pair_in(g, active) is not None
 
 
 def is_compact_bruteforce(g: Graph, limit: int = 12) -> CompactnessVerdict:
@@ -308,8 +349,7 @@ def is_compact_bruteforce(g: Graph, limit: int = 12) -> CompactnessVerdict:
         raise ValueError(f"n={g.n} exceeds the brute-force limit {limit}")
     for size in range(1, g.n + 1):
         for subset in combinations(range(g.n), size):
-            sub, _ = induced_subgraph(g, subset)
-            if not subgraph_passes_compactness(sub):
+            if not subgraph_passes_compactness(g, mask_of(subset)):
                 return CompactnessVerdict(False, failing_subset=frozenset(subset))
     from .recolour import find_elimination_certificate  # avoid import cycle
 

@@ -4,6 +4,7 @@ guarantee, plus a sequence validator and a BFS distance oracle."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -15,8 +16,8 @@ from .explorer import (
     build_reconfiguration_graph,
     is_proper,
 )
-from .graph import Graph, bits, induced_subgraph, is_clique, is_complete
-from .recognition import chromatic_number, qualifying_two_pair
+from .graph import Graph, bits, is_clique_mask
+from .recognition import qualifying_pair_in
 
 
 class PaletteError(ValueError):
@@ -98,34 +99,91 @@ class EliminationCertificate:
 
 def find_elimination_certificate(g: Graph) -> Optional[EliminationCertificate]:
     """Greedy elimination per the compactness cases; None if some stage has no
-    qualifying 2-pair (the graph is then not compact)."""
-    active = set(range(g.n))
+    qualifying 2-pair (the graph is then not compact).  Each stage works on
+    the bitmask of the vertices not yet removed."""
+    active = g.full_mask
     events: List[Event] = []
-    while True:
-        sub, fwd = induced_subgraph(g, active)
-        inv = {new: old for old, new in fwd.items()}
-        if is_complete(sub):
-            events.append(CompleteBase(tuple(sorted(active))))
-            return EliminationCertificate(events)
-        found = qualifying_two_pair(sub)
+    while not is_clique_mask(g, active):
+        found = qualifying_pair_in(g, active)
         if found is None:
             return None
-        pair, tag = found
-        x, y = inv[pair.x], inv[pair.y]
-        sep = {inv[v] for v in pair.separator}
-        cx = {inv[v] for v in pair.component_of_x}
-        if tag == "ii" or len(sep) == 2:
-            # a two-vertex separator forces C_x = {x}, i.e. condition (ii)
+        x, y, sep, side, tag = found
+        if tag == "ii":
             events.append(PairRemoval(x, y))
-            active.remove(x)
-        elif len(sep) == 1:
-            (z,) = sep
-            (w,) = cx - {x}
-            events.append(TriangleRemoval(x, w, z, y))
-            active -= {x, w}
-        else:  # empty separator: C_x is a whole clique component
-            events.append(CliqueComponentRemoval(tuple(sorted(cx))))
-            active -= cx
+        elif sep:
+            # case (iii) with separator {z}: the x-side is {x, w}
+            w = (side & ~(1 << x)).bit_length() - 1
+            events.append(TriangleRemoval(x, w, sep.bit_length() - 1, y))
+        else:  # empty separator: the x-side is a whole clique component
+            events.append(CliqueComponentRemoval(tuple(bits(side))))
+        active &= ~side
+    events.append(CompleteBase(tuple(bits(active))))
+    return EliminationCertificate(events)
+
+
+def certified_chromatic_number(g: Graph, cert: EliminationCertificate) -> int:
+    """Replay cert on g and return the chromatic number of g.
+
+    Raises CertificateError at the first event whose structural facts fail on
+    g.  A certificate that replays fixes chi exactly: a pair removal keeps it
+    (x can copy y's colour), a triangle removal needs 3, a clique component
+    needs its size, and the complete base needs its size.
+    """
+    if not cert.events or not isinstance(cert.events[-1], CompleteBase):
+        raise CertificateError("certificate must end with a complete base")
+    active = g.full_mask
+    chi = 0
+
+    def active_adj(v: int) -> int:
+        return g.adj[v] & active
+
+    for ev in cert.events:
+        if isinstance(ev, CompleteBase):
+            break  # events after the first complete base are never read
+        if isinstance(ev, PairRemoval):
+            x, y = ev.x, ev.y
+            if x == y:
+                raise CertificateError("pair removal names one vertex twice")
+            if not ((active >> x) & 1 and (active >> y) & 1):
+                raise CertificateError("pair removal names an inactive vertex")
+            if g.has_edge(x, y):
+                raise CertificateError("pair removal vertices are adjacent")
+            if active_adj(x) & ~active_adj(y):
+                raise CertificateError("pair removal lacks nested neighbourhoods")
+            active &= ~(1 << x)
+        elif isinstance(ev, TriangleRemoval):
+            x, w, z = ev.x, ev.w, ev.z
+            for v in (x, w, z):
+                if not (active >> v) & 1:
+                    raise CertificateError("triangle removal names an inactive vertex")
+            if active_adj(x) != (1 << w) | (1 << z):
+                raise CertificateError("x must be adjacent exactly to w and z")
+            if active_adj(w) != (1 << x) | (1 << z):
+                raise CertificateError("w must be adjacent exactly to x and z")
+            chi = max(chi, 3)
+            active &= ~(1 << x) & ~(1 << w)
+        elif isinstance(ev, CliqueComponentRemoval):
+            vmask = 0
+            for v in ev.vertices:
+                if not (active >> v) & 1:
+                    raise CertificateError("component removal names an inactive vertex")
+                vmask |= 1 << v
+            if vmask.bit_count() != len(ev.vertices):
+                raise CertificateError("component removal repeats a vertex")
+            if not is_clique_mask(g, vmask):
+                raise CertificateError("removed component is not a clique")
+            for v in ev.vertices:
+                if active_adj(v) & ~vmask:
+                    raise CertificateError("removed clique is not a full component")
+            chi = max(chi, vmask.bit_count())
+            active &= ~vmask
+        else:
+            raise CertificateError(f"unknown certificate event {ev!r}")
+    if list(bits(active)) != sorted(ev.remaining):
+        raise CertificateError("complete base does not match residual set")
+    if not is_clique_mask(g, active):
+        raise CertificateError("residual set is not a clique")
+    return max(chi, active.bit_count())
 
 
 # -- complete-graph base case ---------------------------------------------------
@@ -180,134 +238,119 @@ def recolour_compact(
     """Produce a recolouring sequence from a to b along the certificate.
 
     Requires palette >= chromatic number + 1, and >= 4 whenever the
-    certificate contains a triangle removal.  Every emitted sequence keeps all
-    intermediate colourings proper and recolours each vertex at most 2n times.
+    certificate contains a triangle removal.  The certificate is replayed on g
+    first (CertificateError if it does not fit), which also gives the
+    chromatic number.  Every emitted sequence keeps all intermediate
+    colourings proper and recolours each vertex at most 2n times.
     """
     if a.k != b.k:
         raise ValueError("colourings use different palettes")
     p = a.k
     if not (is_proper(g, a) and is_proper(g, b)):
         raise ValueError("input colourings must be proper")
-    chi = chromatic_number(g)
+    chi = certified_chromatic_number(g, cert)
     if p < chi + 1:
         raise PaletteError(f"palette {p} < chromatic number + 1 = {chi + 1}")
     if any(isinstance(e, TriangleRemoval) for e in cert.events) and p < 4:
         raise PaletteError("triangle removals require a palette of at least 4")
-    if not cert.events or not isinstance(cert.events[-1], CompleteBase):
-        raise CertificateError("certificate must end with a complete base")
     if a.assignment == b.assignment:
         return RecolourSequence(a, [], b)
+    return RecolourSequence(a, _certificate_steps(cert, p, a.assignment, b.assignment), b)
 
-    def active_adj(v: int, active: int) -> int:
-        return g.adj[v] & active
 
-    def solve(idx: int, active: int, alpha: List[int], beta: List[int]) -> List[RecolourStep]:
-        ev = cert.events[idx]
-        if isinstance(ev, CompleteBase):
-            remaining = list(ev.remaining)
-            if set(bits(active)) != set(remaining):
-                raise CertificateError("complete base does not match residual set")
-            if not is_clique(g, remaining):
-                raise CertificateError("residual set is not a clique")
-            m = len(remaining)
-            sub_a = Colouring(tuple(alpha[v] for v in remaining), p)
-            sub_b = Colouring(tuple(beta[v] for v in remaining), p)
-            inner = recolour_complete(m, p, sub_a, sub_b)
-            return [RecolourStep(remaining[s.vertex], s.new_colour) for s in inner.steps]
+def _complete_steps(
+    verts: Tuple[int, ...], p: int, alpha: Tuple[int, ...], beta: Tuple[int, ...]
+) -> List[RecolourStep]:
+    """recolour_complete on the clique verts, in host vertex ids."""
+    sub_a = Colouring(tuple(alpha[v] for v in verts), p)
+    sub_b = Colouring(tuple(beta[v] for v in verts), p)
+    inner = recolour_complete(len(verts), p, sub_a, sub_b)
+    return [RecolourStep(verts[s.vertex], s.new_colour) for s in inner.steps]
 
+
+def _certificate_steps(
+    cert: EliminationCertificate, p: int, alpha: Tuple[int, ...], beta: Tuple[int, ...]
+) -> List[RecolourStep]:
+    """The steps from alpha to beta along a certificate that replays.
+
+    The sequence is defined level by level: level i recolours what is left
+    after the first i removals, by transforming the steps of level i + 1.
+    - Pair removal (x, y): x first copies y's colour, then copies each switch
+      of y right after it, and finally takes its colour in beta.
+    - Triangle removal (x, w, z): before z switches to the colour of x or w,
+      that vertex moves to the least colour outside the triangle; at the end
+      x, then w, take their colours in beta (w first stepping aside if it
+      holds x's target).
+    - Clique component: its recolouring as a complete graph is appended.
+    - Complete base: the recolouring of the residual clique.
+    A level reads only its own vertices, whose colours no other level changes
+    except through the one vertex it watches (y or z), so all levels share one
+    current colouring, and alpha and beta need no per-level copies.  Each
+    switch made at level j visits just the levels below j that watch its
+    vertex, innermost first, on an explicit stack instead of recursion.
+    """
+    end = next(i for i, ev in enumerate(cert.events) if isinstance(ev, CompleteBase))
+    levels = cert.events[:end]
+    watchers: Dict[int, List[int]] = {}
+    for i, ev in enumerate(levels):
         if isinstance(ev, PairRemoval):
-            x, y = ev.x, ev.y
-            if not ((active >> x) & 1 and (active >> y) & 1):
-                raise CertificateError("pair removal names an inactive vertex")
-            if g.has_edge(x, y):
-                raise CertificateError("pair removal vertices are adjacent")
-            if active_adj(x, active) & ~active_adj(y, active):
-                raise CertificateError("pair removal lacks nested neighbourhoods")
-            alpha2 = list(alpha)
-            alpha2[x] = alpha[y]
-            beta2 = list(beta)
-            beta2[x] = beta[y]
-            inner = solve(idx + 1, active & ~(1 << x), alpha2, beta2)
-            out: List[RecolourStep] = []
-            cur = list(alpha)
-            if cur[x] != cur[y]:
-                out.append(RecolourStep(x, cur[y]))
-                cur[x] = cur[y]
-            for s in inner:
-                out.append(s)
-                cur[s.vertex] = s.new_colour
-                if s.vertex == y and cur[x] != s.new_colour:
-                    # mirror rule: x copies every switch of y immediately
-                    out.append(RecolourStep(x, s.new_colour))
-                    cur[x] = s.new_colour
-            if cur[x] != beta[x]:
-                out.append(RecolourStep(x, beta[x]))
-            return out
+            watchers.setdefault(ev.y, []).append(i)
+        elif isinstance(ev, TriangleRemoval):
+            watchers.setdefault(ev.z, []).append(i)
+    cur = list(alpha)
+    out: List[RecolourStep] = []
 
-        if isinstance(ev, TriangleRemoval):
+    def switch(v: int, c: int, level: int) -> None:
+        """Pass a switch of v to c, made at ``level``, through the levels
+        below it and append everything that results."""
+        stack: List[Tuple[Optional[int], int, int]] = [(v, c, level)]
+        while stack:
+            v, c, level = stack.pop()
+            if v is None:  # pair removal `level` after its y reached colour c
+                x = levels[level].x
+                if cur[x] != c:
+                    stack.append((x, c, level))
+                continue
+            below = watchers.get(v, ())
+            pos = bisect_left(below, level)
+            if pos == 0:
+                out.append(RecolourStep(v, c))
+                cur[v] = c
+                continue
+            i = below[pos - 1]
+            ev = levels[i]
+            if isinstance(ev, PairRemoval):
+                stack.append((None, c, i))
+                stack.append((v, c, i))
+            else:  # a triangle removal whose z is v
+                stack.append((v, c, i))
+                if cur[ev.x] == c:
+                    stack.append((ev.x, _least_colour_outside(p, {cur[ev.w], cur[v], c}), i))
+                elif cur[ev.w] == c:
+                    stack.append((ev.w, _least_colour_outside(p, {cur[ev.x], cur[v], c}), i))
+
+    for i, ev in enumerate(levels):
+        if isinstance(ev, PairRemoval) and cur[ev.x] != cur[ev.y]:
+            switch(ev.x, cur[ev.y], i)
+    for s in _complete_steps(cert.events[end].remaining, p, alpha, beta):
+        switch(s.vertex, s.new_colour, end)
+    for i in reversed(range(end)):
+        ev = levels[i]
+        if isinstance(ev, PairRemoval):
+            if cur[ev.x] != beta[ev.x]:
+                switch(ev.x, beta[ev.x], i)
+        elif isinstance(ev, TriangleRemoval):
             x, w, z = ev.x, ev.w, ev.z
-            for v in (x, w, z):
-                if not (active >> v) & 1:
-                    raise CertificateError("triangle removal names an inactive vertex")
-            if active_adj(x, active) != (1 << w) | (1 << z):
-                raise CertificateError("x must be adjacent exactly to w and z")
-            if active_adj(w, active) != (1 << x) | (1 << z):
-                raise CertificateError("w must be adjacent exactly to x and z")
-            inner = solve(idx + 1, active & ~(1 << x) & ~(1 << w), alpha, beta)
-            out = []
-            cur = list(alpha)
-            for s in inner:
-                if s.vertex == z:
-                    c = s.new_colour
-                    if cur[x] == c:
-                        t = _least_colour_outside(p, {cur[w], cur[z], c})
-                        out.append(RecolourStep(x, t))
-                        cur[x] = t
-                    elif cur[w] == c:
-                        t = _least_colour_outside(p, {cur[x], cur[z], c})
-                        out.append(RecolourStep(w, t))
-                        cur[w] = t
-                out.append(s)
-                cur[s.vertex] = s.new_colour
-            # final fix-up: x first, vacating w once if it blocks x's target
             if cur[x] != beta[x] and cur[w] == beta[x]:
-                t = _least_colour_outside(p, {cur[x], cur[z], beta[x]})
-                out.append(RecolourStep(w, t))
-                cur[w] = t
+                switch(w, _least_colour_outside(p, {cur[x], cur[z], beta[x]}), i)
             if cur[x] != beta[x]:
-                out.append(RecolourStep(x, beta[x]))
-                cur[x] = beta[x]
+                switch(x, beta[x], i)
             if cur[w] != beta[w]:
-                out.append(RecolourStep(w, beta[w]))
-                cur[w] = beta[w]
-            return out
-
-        if isinstance(ev, CliqueComponentRemoval):
-            verts = list(ev.vertices)
-            vmask = 0
-            for v in verts:
-                if not (active >> v) & 1:
-                    raise CertificateError("component removal names an inactive vertex")
-                vmask |= 1 << v
-            if not is_clique(g, verts):
-                raise CertificateError("removed component is not a clique")
-            for v in verts:
-                if active_adj(v, active) & ~vmask:
-                    raise CertificateError("removed clique is not a full component")
-            if p < len(verts) + 1:
-                raise PaletteError("palette too small for clique component")
-            inner = solve(idx + 1, active & ~vmask, alpha, beta)
-            sub_a = Colouring(tuple(alpha[v] for v in verts), p)
-            sub_b = Colouring(tuple(beta[v] for v in verts), p)
-            comp = recolour_complete(len(verts), p, sub_a, sub_b)
-            return inner + [
-                RecolourStep(verts[s.vertex], s.new_colour) for s in comp.steps
-            ]
-
-        raise CertificateError(f"unknown certificate event {ev!r}")
-
-    steps = solve(0, g.full_mask, list(a.assignment), list(b.assignment))
-    return RecolourSequence(a, steps, b)
+                switch(w, beta[w], i)
+        else:
+            for s in _complete_steps(ev.vertices, p, alpha, beta):
+                switch(s.vertex, s.new_colour, i)
+    return out
 
 
 # -- validation and the BFS oracle -----------------------------------------------

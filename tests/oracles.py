@@ -1,0 +1,235 @@
+"""Reference implementations that the library's fast paths are tested against.
+
+These are the library's earlier certificate engine and sequence emission,
+kept unchanged apart from the name of the emission function:
+- ``qualifying_two_pair`` scans every 2-pair of the graph, found by a
+  separator BFS per vertex pair, and keeps the first qualifying one;
+- ``find_elimination_certificate`` relabels the induced subgraph of the
+  remaining vertices at every stage and runs that scan on it;
+- ``recolour_compact_recursive`` checks the palette against the exact
+  chromatic number and emits the sequence with one recursion level per
+  certificate event.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+from recolouring.explorer import Colouring, is_proper
+from recolouring.graph import (
+    Graph,
+    bits,
+    component_mask,
+    induced_subgraph,
+    is_clique,
+    is_complete,
+)
+from recolouring.recognition import TwoPair, _make_two_pair, chromatic_number, find_two_pairs
+from recolouring.recolour import (
+    CertificateError,
+    CliqueComponentRemoval,
+    CompleteBase,
+    EliminationCertificate,
+    Event,
+    PairRemoval,
+    PaletteError,
+    RecolourSequence,
+    RecolourStep,
+    TriangleRemoval,
+    _least_colour_outside,
+    recolour_complete,
+)
+
+
+def qualifying_two_pair(g: Graph) -> Optional[Tuple[TwoPair, str]]:
+    """First 2-pair orientation satisfying the nested-neighbourhood condition,
+    else the first whose x-side plus separator is a clique of at most three
+    vertices.  Oriented pairs are scanned in (x, y) lexicographic order."""
+    if is_complete(g):
+        raise ValueError("qualifying_two_pair is undefined on complete graphs")
+    oriented = []
+    for p in find_two_pairs(g):
+        oriented.append((p.x, p.y))
+        oriented.append((p.y, p.x))
+    oriented.sort()
+    for x, y in oriented:
+        if g.adj[x] & ~g.adj[y] == 0:
+            return _make_two_pair(g, x, y), "ii"
+    for x, y in oriented:
+        sep = g.adj[x] & g.adj[y]
+        cx = component_mask(g, x, removed=sep)
+        union = cx | sep
+        if union.bit_count() <= 3 and is_clique(g, bits(union)):
+            return _make_two_pair(g, x, y), "iii"
+    return None
+
+
+def find_elimination_certificate(g: Graph) -> Optional[EliminationCertificate]:
+    """Greedy elimination per the compactness cases; None if some stage has no
+    qualifying 2-pair (the graph is then not compact)."""
+    active = set(range(g.n))
+    events: List[Event] = []
+    while True:
+        sub, fwd = induced_subgraph(g, active)
+        inv = {new: old for old, new in fwd.items()}
+        if is_complete(sub):
+            events.append(CompleteBase(tuple(sorted(active))))
+            return EliminationCertificate(events)
+        found = qualifying_two_pair(sub)
+        if found is None:
+            return None
+        pair, tag = found
+        x, y = inv[pair.x], inv[pair.y]
+        sep = {inv[v] for v in pair.separator}
+        cx = {inv[v] for v in pair.component_of_x}
+        if tag == "ii" or len(sep) == 2:
+            # a two-vertex separator forces C_x = {x}, i.e. condition (ii)
+            events.append(PairRemoval(x, y))
+            active.remove(x)
+        elif len(sep) == 1:
+            (z,) = sep
+            (w,) = cx - {x}
+            events.append(TriangleRemoval(x, w, z, y))
+            active -= {x, w}
+        else:  # empty separator: C_x is a whole clique component
+            events.append(CliqueComponentRemoval(tuple(sorted(cx))))
+            active -= cx
+
+
+# -- recursive sequence emission ----------------------------------------------
+
+
+def recolour_compact_recursive(
+    g: Graph, cert: EliminationCertificate, a: Colouring, b: Colouring
+) -> RecolourSequence:
+    """Produce a recolouring sequence from a to b along the certificate.
+
+    Requires palette >= chromatic number + 1, and >= 4 whenever the
+    certificate contains a triangle removal.  Every emitted sequence keeps all
+    intermediate colourings proper and recolours each vertex at most 2n times.
+    """
+    if a.k != b.k:
+        raise ValueError("colourings use different palettes")
+    p = a.k
+    if not (is_proper(g, a) and is_proper(g, b)):
+        raise ValueError("input colourings must be proper")
+    chi = chromatic_number(g)
+    if p < chi + 1:
+        raise PaletteError(f"palette {p} < chromatic number + 1 = {chi + 1}")
+    if any(isinstance(e, TriangleRemoval) for e in cert.events) and p < 4:
+        raise PaletteError("triangle removals require a palette of at least 4")
+    if not cert.events or not isinstance(cert.events[-1], CompleteBase):
+        raise CertificateError("certificate must end with a complete base")
+    if a.assignment == b.assignment:
+        return RecolourSequence(a, [], b)
+
+    def active_adj(v: int, active: int) -> int:
+        return g.adj[v] & active
+
+    def solve(idx: int, active: int, alpha: List[int], beta: List[int]) -> List[RecolourStep]:
+        ev = cert.events[idx]
+        if isinstance(ev, CompleteBase):
+            remaining = list(ev.remaining)
+            if set(bits(active)) != set(remaining):
+                raise CertificateError("complete base does not match residual set")
+            if not is_clique(g, remaining):
+                raise CertificateError("residual set is not a clique")
+            m = len(remaining)
+            sub_a = Colouring(tuple(alpha[v] for v in remaining), p)
+            sub_b = Colouring(tuple(beta[v] for v in remaining), p)
+            inner = recolour_complete(m, p, sub_a, sub_b)
+            return [RecolourStep(remaining[s.vertex], s.new_colour) for s in inner.steps]
+
+        if isinstance(ev, PairRemoval):
+            x, y = ev.x, ev.y
+            if not ((active >> x) & 1 and (active >> y) & 1):
+                raise CertificateError("pair removal names an inactive vertex")
+            if g.has_edge(x, y):
+                raise CertificateError("pair removal vertices are adjacent")
+            if active_adj(x, active) & ~active_adj(y, active):
+                raise CertificateError("pair removal lacks nested neighbourhoods")
+            alpha2 = list(alpha)
+            alpha2[x] = alpha[y]
+            beta2 = list(beta)
+            beta2[x] = beta[y]
+            inner = solve(idx + 1, active & ~(1 << x), alpha2, beta2)
+            out: List[RecolourStep] = []
+            cur = list(alpha)
+            if cur[x] != cur[y]:
+                out.append(RecolourStep(x, cur[y]))
+                cur[x] = cur[y]
+            for s in inner:
+                out.append(s)
+                cur[s.vertex] = s.new_colour
+                if s.vertex == y and cur[x] != s.new_colour:
+                    # mirror rule: x copies every switch of y immediately
+                    out.append(RecolourStep(x, s.new_colour))
+                    cur[x] = s.new_colour
+            if cur[x] != beta[x]:
+                out.append(RecolourStep(x, beta[x]))
+            return out
+
+        if isinstance(ev, TriangleRemoval):
+            x, w, z = ev.x, ev.w, ev.z
+            for v in (x, w, z):
+                if not (active >> v) & 1:
+                    raise CertificateError("triangle removal names an inactive vertex")
+            if active_adj(x, active) != (1 << w) | (1 << z):
+                raise CertificateError("x must be adjacent exactly to w and z")
+            if active_adj(w, active) != (1 << x) | (1 << z):
+                raise CertificateError("w must be adjacent exactly to x and z")
+            inner = solve(idx + 1, active & ~(1 << x) & ~(1 << w), alpha, beta)
+            out = []
+            cur = list(alpha)
+            for s in inner:
+                if s.vertex == z:
+                    c = s.new_colour
+                    if cur[x] == c:
+                        t = _least_colour_outside(p, {cur[w], cur[z], c})
+                        out.append(RecolourStep(x, t))
+                        cur[x] = t
+                    elif cur[w] == c:
+                        t = _least_colour_outside(p, {cur[x], cur[z], c})
+                        out.append(RecolourStep(w, t))
+                        cur[w] = t
+                out.append(s)
+                cur[s.vertex] = s.new_colour
+            # final fix-up: x first, vacating w once if it blocks x's target
+            if cur[x] != beta[x] and cur[w] == beta[x]:
+                t = _least_colour_outside(p, {cur[x], cur[z], beta[x]})
+                out.append(RecolourStep(w, t))
+                cur[w] = t
+            if cur[x] != beta[x]:
+                out.append(RecolourStep(x, beta[x]))
+                cur[x] = beta[x]
+            if cur[w] != beta[w]:
+                out.append(RecolourStep(w, beta[w]))
+                cur[w] = beta[w]
+            return out
+
+        if isinstance(ev, CliqueComponentRemoval):
+            verts = list(ev.vertices)
+            vmask = 0
+            for v in verts:
+                if not (active >> v) & 1:
+                    raise CertificateError("component removal names an inactive vertex")
+                vmask |= 1 << v
+            if not is_clique(g, verts):
+                raise CertificateError("removed component is not a clique")
+            for v in verts:
+                if active_adj(v, active) & ~vmask:
+                    raise CertificateError("removed clique is not a full component")
+            if p < len(verts) + 1:
+                raise PaletteError("palette too small for clique component")
+            inner = solve(idx + 1, active & ~vmask, alpha, beta)
+            sub_a = Colouring(tuple(alpha[v] for v in verts), p)
+            sub_b = Colouring(tuple(beta[v] for v in verts), p)
+            comp = recolour_complete(len(verts), p, sub_a, sub_b)
+            return inner + [
+                RecolourStep(verts[s.vertex], s.new_colour) for s in comp.steps
+            ]
+
+        raise CertificateError(f"unknown certificate event {ev!r}")
+
+    steps = solve(0, g.full_mask, list(a.assignment), list(b.assignment))
+    return RecolourSequence(a, steps, b)

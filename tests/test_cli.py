@@ -186,8 +186,34 @@ def test_recolour_rejects_non_compact_graph(tmp_path, capsys):
         {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]},
     )
     src = write_json(tmp_path / "a.json", [0, 1, 0, 1, 0, 1])
-    code, out = run(capsys, "recolour", graph, "--k", "3", "--from", src, "--to", src)
-    assert code == 1 and out == ""
+    code = main(["recolour", graph, "--k", "3", "--from", src, "--to", src])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"error: {graph}: graph admits no elimination certificate (not compact)\n"
+    )
+
+
+def test_recolour_long_path_round_trip(tmp_path, capsys, schema_validator):
+    n = 2000
+    graph = write_json(
+        tmp_path / "p.json", {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    )
+    src = write_json(tmp_path / "a.json", [i % 2 for i in range(n)])
+    dst = write_json(tmp_path / "b.json", [1 + i % 2 for i in range(n)])
+    seq_path = tmp_path / "seq.json"
+    code, out = run(
+        capsys,
+        "recolour", graph, "--k", "3", "--from", src, "--to", dst,
+        "-o", str(seq_path),
+    )
+    assert code == 0 and out == ""
+    code, rep = run_json(
+        capsys, schema_validator,
+        "validate", graph, "--seq", str(seq_path), "--from", src,
+    )
+    assert code == 0 and rep["ok"] is True
+    assert rep["max_per_vertex"] <= 2 * n
 
 
 def test_search_h_report(capsys, schema_validator):

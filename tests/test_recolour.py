@@ -157,6 +157,33 @@ def test_recolour_compact_rejects_foreign_certificate():
     b = Colouring((1, 0, 1, 0), 3)
     with pytest.raises(CertificateError):
         recolour_compact(g, wrong, a, b)
+    # the certificate is replayed before the palette checks and the a == b
+    # shortcut
+    with pytest.raises(CertificateError):
+        recolour_compact(g, wrong, a, a)
+    with pytest.raises(CertificateError):
+        recolour_compact(g, wrong, Colouring((0, 1, 0, 1), 2), Colouring((0, 1, 0, 1), 2))
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        [PairRemoval(0, 0), CompleteBase((1, 2))],
+        [CliqueComponentRemoval((0, 0, 1, 2)), CompleteBase(())],
+        [CompleteBase((0, 1, 1, 2))],
+    ],
+)
+def test_recolour_compact_rejects_repeated_vertices(events):
+    # a self-pair would let x keep a colour that the rest of the sequence
+    # ignores, so the emitted sequence could clash at x
+    k3 = generate_named("complete", 3)
+    with pytest.raises(CertificateError):
+        recolour_compact(
+            k3,
+            EliminationCertificate(events),
+            Colouring((0, 1, 2), 4),
+            Colouring((0, 2, 1), 4),
+        )
 
 
 def test_recolour_compact_rejects_truncated_certificate():
