@@ -71,16 +71,59 @@ def _write_graph(g: Graph, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_colouring(path: str, k: int, n: int) -> Colouring:
+def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _is_int_list(obj: Any) -> bool:
+    # JSON integers load as exactly int; bool, a subclass of int, is rejected
+    return type(obj) is list and all(type(x) is int for x in obj)
+
+
+def _int_array(obj: Any, path: str) -> List[int]:
+    """A colouring file's integer array: bare, or under "assignment"."""
     if isinstance(obj, dict) and "assignment" in obj:
         obj = obj["assignment"]
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    if not _is_int_list(obj):
         raise ValueError(f"{path}: a colouring file must hold an integer array")
+    return obj
+
+
+def _load_colouring(path: str, k: int, n: int) -> Colouring:
+    obj = _int_array(_load_json(path), path)
     if len(obj) != n:
         raise ValueError(f"{path}: colouring length {len(obj)} != n {n}")
     return Colouring(tuple(obj), k)
+
+
+def _load_sequence(path: str) -> Dict[str, Any]:
+    """A sequence file's object, with integer arrays "start" and "end" and
+    "steps" a list of [vertex, colour] integer pairs."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: a sequence file must hold a JSON object")
+    for key in ("start", "steps", "end"):
+        if key not in obj:
+            raise ValueError(f'{path}: sequence file lacks "{key}"')
+    for key in ("start", "end"):
+        if not _is_int_list(obj[key]):
+            raise ValueError(f'{path}: "{key}" must be an integer array')
+    if type(obj["steps"]) is not list:
+        raise ValueError(f'{path}: "steps" must be an array')
+    for i, step in enumerate(obj["steps"]):
+        # tested inline, not by _is_int_list: a sequence can hold millions of steps
+        if (
+            type(step) is not list
+            or len(step) != 2
+            or type(step[0]) is not int
+            or type(step[1]) is not int
+        ):
+            raise ValueError(f"{path}: step {i} must be [vertex, colour]")
+    return obj
 
 
 def _event_to_obj(ev: Any) -> Dict[str, Any]:
@@ -238,19 +281,13 @@ def _cmd_recolour(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    with open(args.seq, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    for key in ("start", "steps", "end"):
-        if key not in obj:
-            raise ValueError(f'sequence file lacks "{key}"')
+    obj = _load_sequence(args.seq)
     start_list: List[int] = obj["start"]
     if args.from_path is not None:
-        with open(args.from_path, "r", encoding="utf-8") as fh:
-            declared = json.load(fh)
-        if isinstance(declared, dict) and "assignment" in declared:
-            declared = declared["assignment"]
-        if list(declared) != list(start_list):
-            raise ValueError("--from colouring disagrees with the sequence start")
+        if _int_array(_load_json(args.from_path), args.from_path) != start_list:
+            raise ValueError(
+                f"{args.from_path}: colouring disagrees with the start of {args.seq}"
+            )
     colours = set(start_list) | set(obj["end"]) | {c for _, c in obj["steps"]}
     k = args.k if args.k is not None else (max(colours) + 1 if colours else 0)
     seq = RecolourSequence(

@@ -137,22 +137,45 @@ class ExplorationSummary:
     diameter_capped: List[bool]
     frozen_colouring_indices: List[int]
     diameter: Optional[int]  # overall, when connected and not capped
+    # BFS runs for the diameters: one per distinct canonical form of the
+    # members of uncapped components
+    eccentricity_bfs_runs: int = 0
 
 
-def _component_diameter(r: ReconfigGraph, members: List[int]) -> int:
-    member_set = set(members)
-    best = 0
-    for src in members:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in r.adjacency[u]:
-                if w in member_set and w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        best = max(best, max(dist.values()))
-    return best
+def _canonical_nodes(r: ReconfigGraph) -> List[int]:
+    """Map each node to the node of its colouring with colours renamed in
+    order of first use.  The canonical colouring uses no more colours than
+    the original, so it is always a node of ``r``."""
+    out = []
+    for c in r.nodes:
+        rename: Dict[int, int] = {}
+        canonical = tuple(rename.setdefault(x, len(rename)) for x in c.assignment)
+        out.append(r.index[canonical])
+    return out
+
+
+def _eccentricity(adjacency: List[List[int]], src: int, dist: List[int]) -> int:
+    """Eccentricity of ``src`` within its component, by a level-by-level BFS
+    on ``dist`` (all -1 on entry and on return)."""
+    dist[src] = 0
+    frontier = [src]
+    touched = [src]
+    depth = 0
+    while True:
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = depth + 1
+                    nxt.append(w)
+        if not nxt:
+            break
+        touched += nxt
+        frontier = nxt
+        depth += 1
+    for v in touched:
+        dist[v] = -1
+    return depth
 
 
 def summarize(
@@ -160,16 +183,28 @@ def summarize(
     diameter_cap: int = DEFAULT_DIAMETER_CAP,
     compute_diameters: bool = True,
 ) -> ExplorationSummary:
+    """Component sizes, frozen colourings and, optionally, exact component
+    diameters.
+
+    Renaming colours is an automorphism of R_k that maps each component C
+    onto a component of the same size and diameter, and it maps a node to
+    one of the same eccentricity.  So diam(C) is the largest eccentricity of
+    the canonical forms of C's members, and one BFS per canonical colouring
+    serves every component.
+    """
     sizes = [len(m) for m in r.components]
-    diameters: List[Optional[int]] = []
-    capped: List[bool] = []
-    for members in r.components:
-        if not compute_diameters or len(members) > diameter_cap:
-            diameters.append(None)
-            capped.append(compute_diameters and len(members) > diameter_cap)
-        else:
-            diameters.append(_component_diameter(r, members))
-            capped.append(False)
+    capped = [compute_diameters and s > diameter_cap for s in sizes]
+    diameters: List[Optional[int]] = [None] * len(sizes)
+    todo = [i for i, s in enumerate(sizes) if compute_diameters and s <= diameter_cap]
+    ecc: Dict[int, int] = {}  # canonical node -> eccentricity
+    if todo:
+        canonical = _canonical_nodes(r)
+        dist = [-1] * r.node_count()
+        for i in todo:
+            roots = {canonical[u] for u in r.components[i]}
+            for v in roots - ecc.keys():
+                ecc[v] = _eccentricity(r.adjacency, v, dist)
+            diameters[i] = max(ecc[v] for v in roots)
     frozen = [i for i in range(r.node_count()) if not r.adjacency[i]]
     overall = diameters[0] if len(r.components) == 1 else None
     return ExplorationSummary(
@@ -181,6 +216,7 @@ def summarize(
         diameter_capped=capped,
         frozen_colouring_indices=frozen,
         diameter=overall,
+        eccentricity_bfs_runs=len(ecc),
     )
 
 

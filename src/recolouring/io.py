@@ -73,6 +73,15 @@ def graph_from_json(text: str) -> Graph:
     return graph_from_json_obj(obj)
 
 
+def _dimacs_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(
+            f"line {lineno}: {what} {token!r} is not an integer"
+        ) from None
+
+
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS .col ("p edge n m" / "e u v", 1-based ids) to a Graph."""
     n = None
@@ -87,13 +96,16 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphFormatError(f"line {lineno}: bad problem line")
-            n = int(parts[2])
+            n = _dimacs_int(parts[2], lineno, "vertex count")
+            if n < 0 or _dimacs_int(parts[3], lineno, "edge count") < 0:
+                raise GraphFormatError(f"line {lineno}: negative count")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: bad edge line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u = _dimacs_int(parts[1], lineno, "vertex id") - 1
+            v = _dimacs_int(parts[2], lineno, "vertex id") - 1
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop")
             if not (0 <= u < n and 0 <= v < n):
@@ -110,7 +122,8 @@ def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in range(g.n):
         if v in g.labels:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     for u, v in g.edges():

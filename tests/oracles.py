@@ -1,21 +1,25 @@
 """Reference implementations that the library's fast paths are tested against.
 
-These are the library's earlier certificate engine and sequence emission,
-kept unchanged apart from the name of the emission function:
+These are the library's earlier certificate engine, sequence emission and
+component diameter, kept unchanged apart from the names of the emission and
+diameter functions:
 - ``qualifying_two_pair`` scans every 2-pair of the graph, found by a
   separator BFS per vertex pair, and keeps the first qualifying one;
 - ``find_elimination_certificate`` relabels the induced subgraph of the
   remaining vertices at every stage and runs that scan on it;
 - ``recolour_compact_recursive`` checks the palette against the exact
   chromatic number and emits the sequence with one recursion level per
-  certificate event.
+  certificate event;
+- ``component_diameter`` is the explorer's earlier exact diameter: a BFS
+  from every member of the component, with dict distances and a member set.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import List, Optional, Tuple
 
-from recolouring.explorer import Colouring, is_proper
+from recolouring.explorer import Colouring, ReconfigGraph, is_proper
 from recolouring.graph import (
     Graph,
     bits,
@@ -233,3 +237,19 @@ def recolour_compact_recursive(
 
     steps = solve(0, g.full_mask, list(a.assignment), list(b.assignment))
     return RecolourSequence(a, steps, b)
+
+
+def component_diameter(r: ReconfigGraph, members: List[int]) -> int:
+    member_set = set(members)
+    best = 0
+    for src in members:
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in r.adjacency[u]:
+                if w in member_set and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        best = max(best, max(dist.values()))
+    return best

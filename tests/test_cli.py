@@ -176,8 +176,68 @@ def test_validate_rejects_mismatched_from(tmp_path, capsys):
     graph = write_json(tmp_path / "k2.json", {"n": 2, "edges": [[0, 1]]})
     seq = write_json(tmp_path / "s.json", {"start": [0, 1], "steps": [], "end": [0, 1]})
     other = write_json(tmp_path / "c.json", [1, 0])
-    code, out = run(capsys, "validate", graph, "--seq", seq, "--from", other)
-    assert code == 1 and out == ""
+    code = main(["validate", graph, "--seq", seq, "--from", other])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"error: {other}: colouring disagrees with the start of {seq}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "seq_obj, message",
+    [
+        ({"start": [0, 1, 0], "steps": [[1, 2]], "end": "x"}, '"end" must be an integer array'),
+        ({"start": [0, 1, 0], "steps": [[1]], "end": [0, 2, 0]}, "step 0 must be [vertex, colour]"),
+        ({"start": [0, 1, 0], "steps": [[1, 2], [1, True]], "end": [0, 1, 0]}, "step 1 must be [vertex, colour]"),
+        ({"start": [False, True, False], "steps": [], "end": [0, 1, 0]}, '"start" must be an integer array'),
+        ({"start": [0, 1, 0], "steps": {}, "end": [0, 1, 0]}, '"steps" must be an array'),
+        ({"start": [0, 1, 0], "end": [0, 1, 0]}, 'sequence file lacks "steps"'),
+        ([0, 1, 0], "a sequence file must hold a JSON object"),
+    ],
+)
+def test_validate_rejects_malformed_sequence_file(tmp_path, capsys, seq_obj, message):
+    graph = write_json(tmp_path / "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
+    seq = write_json(tmp_path / "s.json", seq_obj)
+    code = main(["validate", graph, "--seq", seq])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {seq}: {message}\n"
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"])
+def test_validate_rejects_invalid_json(tmp_path, capsys, content):
+    graph = write_json(tmp_path / "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
+    seq = tmp_path / "s.json"
+    seq.write_bytes(content)
+    code = main(["validate", graph, "--seq", str(seq)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {seq}: invalid JSON: ")
+
+
+def test_colouring_files_reject_booleans(tmp_path, capsys):
+    graph = write_json(tmp_path / "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
+    good = write_json(tmp_path / "a.json", [1, 0, 1])
+    bools = write_json(tmp_path / "b.json", [True, False, True])
+    wrapped = write_json(tmp_path / "c.json", {"assignment": [True, False, True]})
+    for bad in (bools, wrapped):
+        for frm, to in ((bad, good), (good, bad)):
+            code = main(["recolour", graph, "--k", "3", "--from", frm, "--to", to])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == (
+                f"error: {bad}: a colouring file must hold an integer array\n"
+            )
+    # validate --from: [true, false, true] == [1, 0, 1] in Python, yet it is
+    # not a colouring
+    seq = write_json(tmp_path / "s.json", {"start": [1, 0, 1], "steps": [], "end": [1, 0, 1]})
+    code = main(["validate", graph, "--seq", seq, "--from", bools])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {bools}: a colouring file must hold an integer array\n"
+    code, out = run(capsys, "validate", graph, "--seq", seq, "--from", good)
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_recolour_rejects_non_compact_graph(tmp_path, capsys):

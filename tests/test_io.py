@@ -51,6 +51,7 @@ def test_dimacs_parse():
         "p edge 2 1\ne 1 5\n",
         "p edge 2 1\nq 1 2\n",
         "",
+        "p edge -1 0\n",
     ],
 )
 def test_dimacs_rejects_malformed(text):
@@ -58,8 +59,34 @@ def test_dimacs_rejects_malformed(text):
         parse_dimacs(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 3x 1\n", "line 1: vertex count '3x' is not an integer"),
+        ("p edge 3 one\n", "line 1: edge count 'one' is not an integer"),
+        ("c\np edge 3 1\ne 1 2.0\n", "line 3: vertex id '2.0' is not an integer"),
+    ],
+)
+def test_dimacs_non_integer_is_a_format_error(text, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
+
+
 def test_dot_export_mentions_all_edges():
     g = Graph(3, [(0, 1), (1, 2)], labels={0: "x"})
     dot = to_dot(g)
     assert "0 -- 1;" in dot and "1 -- 2;" in dot
     assert 'label="x"' in dot
+
+
+def test_dot_export_escapes_labels():
+    g = Graph(3, [(0, 1)], labels={0: 'a"];evil', 1: "back\\slash", 2: "plain"})
+    lines = to_dot(g).splitlines()
+    assert lines[1] == '  0 [label="a\\"];evil"];'
+    assert lines[2] == '  1 [label="back\\\\slash"];'
+    assert lines[3] == '  2 [label="plain"];'
+    # labels without quotes or backslashes are written as before
+    assert to_dot(Graph(2, [(0, 1)], labels={0: "x y"})) == (
+        'graph G {\n  0 [label="x y"];\n  1;\n  0 -- 1;\n}\n'
+    )
