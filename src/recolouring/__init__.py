@@ -31,7 +31,6 @@ from .graph import (
     Graph,
     complement,
     connected_components,
-    has_long_chordless_path,
     induced_subgraph,
     is_anticonnected,
     is_clique,

@@ -8,6 +8,7 @@ error (capacity, precondition, format), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -52,23 +53,17 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _emit(obj: Dict[str, Any], out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_graph(g: Graph, path: Optional[str]) -> None:
-    obj = graph_to_json_obj(g)
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: Optional[str]) -> None:
+    """The one output writer: to the file at ``path``, else to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj: Dict[str, Any], out: Optional[str]) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
 def _load_json(path: str) -> Any:
@@ -154,7 +149,7 @@ def _two_pair_to_obj(p: Any) -> Dict[str, Any]:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.generator == "gk":
         bundle = generate_gk(args.k, frozen_budget=args.frozen_budget)
-        _write_graph(bundle.graph, args.out)
+        _emit(graph_to_json_obj(bundle.graph), args.out)
         report = {
             "report": "gen_gk",
             "tool_version": __version__,
@@ -175,14 +170,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return 0
     if args.generator == "named":
         g = generate_named(args.name, args.n)
-        _write_graph(g, args.out)
+        _emit(graph_to_json_obj(g), args.out)
         return 0
     if args.generator == "random":
         if args.graph_class == "cochordal":
             g = random_cochordal(args.n, args.seed)
         else:
             g = random_graph(args.n, args.p, args.seed)
-        _write_graph(g, args.out)
+        _emit(graph_to_json_obj(g), args.out)
         return 0
     raise AssertionError
 
@@ -245,14 +240,10 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
     if args.dump_dot:
         if r.node_count() > 10_000:
             raise CapacityError("refusing to dump DOT for more than 10000 nodes")
-        lines = [f"graph R{args.k} {{"]
-        for i, node in enumerate(r.nodes):
-            lines.append(f'  {i} [label="{"".join(map(str, node.assignment))}"];')
-        for i, row in enumerate(r.adjacency):
-            lines.extend(f"  {i} -- {j};" for j in row if i < j)
-        lines.append("}")
-        with open(args.dump_dot, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        edges = [(i, j) for i, row in enumerate(r.adjacency) for j in row if i < j]
+        labels = {i: "".join(map(str, c.assignment)) for i, c in enumerate(r.nodes)}
+        dot = to_dot(Graph(r.node_count(), edges, labels=labels), f"R{args.k}")
+        _write(dot, args.dump_dot)
     _emit(report, args.out)
     return 0
 
@@ -331,20 +322,16 @@ def _cmd_search_h(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    text = to_dot(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(to_dot(load_graph(args.graph)), args.out)
     return 0
 
 
 # -- parser ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="recolouring",
         description="Explore reconfiguration graphs of graph colourings.",

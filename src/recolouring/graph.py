@@ -200,28 +200,3 @@ def is_anticonnected(g: Graph, s: Iterable[int]) -> bool:
     sub, _ = induced_subgraph(g, keep)
     return is_connected(complement(sub))
 
-
-def has_long_chordless_path(g: Graph, x: int, y: int) -> bool:
-    """Exhaustive test for an induced x-y path of length >= 3.
-
-    Exponential; used only as the 2-pair oracle on small graphs.
-    """
-    if x == y:
-        raise ValueError("endpoints must differ")
-    if g.has_edge(x, y):
-        raise ValueError("endpoints must be nonadjacent")
-
-    def extend(last: int, used: int, length: int) -> bool:
-        interior = used ^ (1 << last)
-        for w in bits(g.adj[last] & ~used):
-            if g.adj[w] & interior:
-                continue  # chord back into the path
-            if w == y:
-                if length + 1 >= 3:
-                    return True
-                continue
-            if extend(w, used | (1 << w), length + 1):
-                return True
-        return False
-
-    return extend(x, 1 << x, 0)

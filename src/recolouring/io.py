@@ -133,9 +133,16 @@ def to_dot(g: Graph, name: str = "G") -> str:
 
 
 def load_graph(path: str) -> Graph:
-    """Load a graph file; .col is treated as DIMACS, anything else as JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".col"):
-        return parse_dimacs(text)
-    return graph_from_json(text)
+    """Load a graph file; .col is treated as DIMACS, anything else as JSON.
+
+    A file that is not UTF-8 text or not a well-formed graph raises
+    GraphFormatError with the path in front of the message.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if path.endswith(".col"):
+            return parse_dimacs(text)
+        return graph_from_json(text)
+    except (GraphFormatError, UnicodeDecodeError) as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .graph import (
     Graph,
@@ -77,15 +77,12 @@ def is_two_pair(g: Graph, x: int, y: int) -> bool:
 
 def find_two_pairs(g: Graph) -> List[TwoPair]:
     """All 2-pairs {x, y} with x < y, in lexicographic order."""
-    out = []
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if g.has_edge(x, y):
-                continue
-            sep = g.adj[x] & g.adj[y]
-            if not (component_mask(g, x, removed=sep) >> y) & 1:
-                out.append(_make_two_pair(g, x, y))
-    return out
+    return [
+        _make_two_pair(g, x, y)
+        for x in range(g.n)
+        for y in range(x + 1, g.n)
+        if is_two_pair(g, x, y)
+    ]
 
 
 # -- holes and antiholes ------------------------------------------------------
@@ -139,58 +136,57 @@ def is_weakly_chordal(g: Graph) -> bool:
 
 
 def is_co_chordal(g: Graph) -> bool:
-    """(2K2, antihole)-free; cross-checked against chordality of the complement."""
-    forbidden_free = contains_induced(g, "2k2") is None and find_antihole(g) is None
-    complement_chordal = _find_induced_cycle(complement(g), 4) is None
-    if forbidden_free != complement_chordal:
-        raise AssertionError("co-chordal test routes disagree")
-    return complement_chordal
+    """The complement is chordal: it has no induced cycle of length >= 4.
+
+    Equivalently g is (2K2, antihole)-free, since an induced 2K2 of g is an
+    induced C4 of the complement and an antihole of g is a hole of it.
+    """
+    return _find_induced_cycle(complement(g), 4) is None
 
 
 # -- fixed forbidden patterns -------------------------------------------------
 
 
-def _named_patterns() -> Dict[str, Graph]:
-    return {
-        "p5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-        "p5_complement": complement(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])),
-        "c5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
-        "2k2": Graph(4, [(0, 1), (2, 3)]),
-        "k4": Graph(4, list(combinations(range(4), 2))),
-        "diamond": Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-    }
+def _labelled_copies(pattern: Graph) -> Tuple[int, FrozenSet[int]]:
+    """The pattern's vertex count and the edge codes of all its labellings.
+
+    Bit i of a code is set when pair i of combinations(range(m), 2) is an
+    edge, so an m-vertex subset induces the pattern exactly when its own
+    code, read the same way, is one of these.
+    """
+    m = pattern.n
+    pairs = list(enumerate(combinations(range(m), 2)))
+    codes = frozenset(
+        sum(1 << i for i, (u, v) in pairs if pattern.has_edge(perm[u], perm[v]))
+        for perm in permutations(range(m))
+    )
+    return m, codes
 
 
-PATTERNS = _named_patterns()
+_P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
-
-def _induces_pattern(g: Graph, subset: Tuple[int, ...], pattern: Graph) -> bool:
-    m = len(subset)
-    local = [[g.has_edge(subset[i], subset[j]) for j in range(m)] for i in range(m)]
-    degs = sorted(sum(row) for row in local)
-    pdegs = sorted(pattern.degree(v) for v in range(m))
-    if degs != pdegs:
-        return False
-    for perm in permutations(range(m)):
-        if all(
-            local[perm[i]][perm[j]] == pattern.has_edge(i, j)
-            for i, j in combinations(range(m), 2)
-        ):
-            return True
-    return False
+PATTERNS: Dict[str, Tuple[int, FrozenSet[int]]] = {
+    "p5": _labelled_copies(_P5),
+    "p5_complement": _labelled_copies(complement(_P5)),
+    "c5": _labelled_copies(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])),
+    "2k2": _labelled_copies(Graph(4, [(0, 1), (2, 3)])),
+    "k4": _labelled_copies(Graph(4, list(combinations(range(4), 2)))),
+    "diamond": _labelled_copies(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])),
+}
 
 
 def contains_induced(g: Graph, pattern: str) -> Optional[frozenset]:
     """First vertex set (lex order) inducing the named pattern, or None."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
-    pat = PATTERNS[pattern]
-    target_m = pat.edge_count()
-    for subset in combinations(range(g.n), pat.n):
-        m = sum(g.has_edge(u, v) for u, v in combinations(subset, 2))
-        if m != target_m:
-            continue
-        if _induces_pattern(g, subset, pat):
+    m, codes = PATTERNS[pattern]
+    adj = g.adj
+    for subset in combinations(range(g.n), m):
+        code = 0
+        for i, (u, v) in enumerate(combinations(subset, 2)):
+            if (adj[u] >> v) & 1:
+                code |= 1 << i
+        if code in codes:
             return frozenset(subset)
     return None
 

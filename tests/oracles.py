@@ -11,24 +11,40 @@ diameter functions:
   chromatic number and emits the sequence with one recursion level per
   certificate event;
 - ``component_diameter`` is the explorer's earlier exact diameter: a BFS
-  from every member of the component, with dict distances and a member set.
+  from every member of the component, with dict distances and a member set;
+- ``contains_induced`` is the earlier forbidden-pattern scan: each subset
+  with the pattern's edge count and degree sequence is matched against every
+  permutation of the pattern (``induces_pattern``);
+- ``is_co_chordal`` is the earlier (2K2, antihole) route to co-chordality,
+  the library's dual of testing the complement for an induced cycle of
+  length >= 4;
+- ``has_long_chordless_path`` is the exhaustive induced-path test behind the
+  path definition of a 2-pair (no induced x-y path of length >= 3).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from itertools import combinations, permutations
+from typing import Dict, List, Optional, Tuple
 
 from recolouring.explorer import Colouring, ReconfigGraph, is_proper
 from recolouring.graph import (
     Graph,
     bits,
+    complement,
     component_mask,
     induced_subgraph,
     is_clique,
     is_complete,
 )
-from recolouring.recognition import TwoPair, _make_two_pair, chromatic_number, find_two_pairs
+from recolouring.recognition import (
+    TwoPair,
+    _make_two_pair,
+    chromatic_number,
+    find_antihole,
+    find_two_pairs,
+)
 from recolouring.recolour import (
     CertificateError,
     CliqueComponentRemoval,
@@ -253,3 +269,79 @@ def component_diameter(r: ReconfigGraph, members: List[int]) -> int:
                     queue.append(w)
         best = max(best, max(dist.values()))
     return best
+
+
+def named_patterns() -> Dict[str, Graph]:
+    return {
+        "p5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        "p5_complement": complement(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])),
+        "c5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        "2k2": Graph(4, [(0, 1), (2, 3)]),
+        "k4": Graph(4, list(combinations(range(4), 2))),
+        "diamond": Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    }
+
+
+PATTERN_GRAPHS = named_patterns()
+
+
+def induces_pattern(g: Graph, subset: Tuple[int, ...], pattern: Graph) -> bool:
+    m = len(subset)
+    local = [[g.has_edge(subset[i], subset[j]) for j in range(m)] for i in range(m)]
+    degs = sorted(sum(row) for row in local)
+    pdegs = sorted(pattern.degree(v) for v in range(m))
+    if degs != pdegs:
+        return False
+    for perm in permutations(range(m)):
+        if all(
+            local[perm[i]][perm[j]] == pattern.has_edge(i, j)
+            for i, j in combinations(range(m), 2)
+        ):
+            return True
+    return False
+
+
+def contains_induced(g: Graph, pattern: str) -> Optional[frozenset]:
+    """First vertex set (lex order) inducing the named pattern, or None."""
+    if pattern not in PATTERN_GRAPHS:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    pat = PATTERN_GRAPHS[pattern]
+    target_m = pat.edge_count()
+    for subset in combinations(range(g.n), pat.n):
+        m = sum(g.has_edge(u, v) for u, v in combinations(subset, 2))
+        if m != target_m:
+            continue
+        if induces_pattern(g, subset, pat):
+            return frozenset(subset)
+    return None
+
+
+def is_co_chordal(g: Graph) -> bool:
+    """(2K2, antihole)-free."""
+    return contains_induced(g, "2k2") is None and find_antihole(g) is None
+
+
+def has_long_chordless_path(g: Graph, x: int, y: int) -> bool:
+    """Exhaustive test for an induced x-y path of length >= 3.
+
+    Exponential; used only as the 2-pair oracle on small graphs.
+    """
+    if x == y:
+        raise ValueError("endpoints must differ")
+    if g.has_edge(x, y):
+        raise ValueError("endpoints must be nonadjacent")
+
+    def extend(last: int, used: int, length: int) -> bool:
+        interior = used ^ (1 << last)
+        for w in bits(g.adj[last] & ~used):
+            if g.adj[w] & interior:
+                continue  # chord back into the path
+            if w == y:
+                if length + 1 >= 3:
+                    return True
+                continue
+            if extend(w, used | (1 << w), length + 1):
+                return True
+        return False
+
+    return extend(x, 1 << x, 0)

@@ -22,7 +22,6 @@ from recolouring import (
     find_two_pairs,
     generate_gk,
     generate_named,
-    has_long_chordless_path,
     induced_subgraph,
     is_compact_bruteforce,
     is_weakly_chordal,
@@ -38,6 +37,7 @@ from recolouring.graph import Graph, is_complete
 from recolouring.recognition import subgraph_passes_compactness
 
 from conftest import all_labelled_graphs
+from oracles import has_long_chordless_path
 
 
 def report(name, ok, detail=""):

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from recolouring.cli import main
+import recolouring
+from recolouring.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +128,24 @@ def test_reconfig_dump_dot(tmp_path, capsys, schema_validator):
         "reconfig", path, "--k", "3", "--dump-dot", str(dot),
     )
     assert code == 0
-    text = dot.read_text()
-    assert text.startswith("graph R3 {")
-    assert text.count("--") == obj["colouring_count"]  # R_3(K2) is a 6-cycle
+    # R_3(K2) is a 6-cycle; nodes are labelled by their colourings
+    assert dot.read_text() == (
+        "graph R3 {\n"
+        '  0 [label="01"];\n'
+        '  1 [label="02"];\n'
+        '  2 [label="10"];\n'
+        '  3 [label="12"];\n'
+        '  4 [label="20"];\n'
+        '  5 [label="21"];\n'
+        "  0 -- 1;\n"
+        "  0 -- 5;\n"
+        "  1 -- 3;\n"
+        "  2 -- 3;\n"
+        "  2 -- 4;\n"
+        "  4 -- 5;\n"
+        "}\n"
+    )
+    assert obj["colouring_count"] == 6
 
 
 def test_reconfig_capacity_exit_code(tmp_path, capsys):
@@ -315,6 +334,33 @@ def test_dimacs_input(tmp_path, capsys, schema_validator):
     assert code == 0 and obj["n"] == 3
 
 
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("bad.col", b"p edge 3x 1\n", "line 1: vertex count '3x' is not an integer"),
+        ("e.col", b"p edge 2 1\ne 1 1\n", "line 2: self-loop"),
+        ("bad.json", b'{"n": 2}', 'graph JSON requires fields "n" and "edges"'),
+        (
+            "bin.col",
+            b"\xff\xfe",
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+        (
+            "bin.json",
+            b"\xff\xfe",
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+    ],
+)
+def test_graph_format_errors_name_the_file(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code = main(["recognize", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, out = run(capsys, "recognize", "/nonexistent/graph.json")
     assert code == 1 and out == ""
@@ -331,3 +377,36 @@ def test_byte_identical_reports(tmp_path, capsys):
     a = run(capsys, "recognize", path)
     b = run(capsys, "recognize", path)
     assert a == b
+
+
+def test_main_reuses_one_parser_across_subcommands(tmp_path, capsys):
+    """Runs in one process give the outputs of runs in fresh processes."""
+    graph = str(tmp_path / "p5.json")
+    a = write_json(tmp_path / "a.json", [0, 1, 0, 1, 2])
+    b = write_json(tmp_path / "b.json", [1, 2, 1, 2, 0])
+    seq = str(tmp_path / "seq.json")
+    commands = [
+        ["gen", "named", "--name", "path", "--n", "5", "-o", graph],
+        ["recognize", graph],
+        ["reconfig", graph, "--k", "3", "--diameter", "--frozen"],
+        ["export-dot", graph],
+        ["recolour", graph, "--k", "4", "--from", a, "--to", b, "-o", seq],
+        ["validate", graph, "--seq", seq, "--from", a],
+        ["recognize", str(tmp_path / "missing.json")],
+    ]
+    in_process = []
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 0, 1]
+    assert build_parser() is build_parser()
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(recolouring.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, (code, out, err) in zip(commands, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "recolouring.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv

@@ -8,7 +8,6 @@ from recolouring import (
     complement,
     connected_components,
     generate_named,
-    has_long_chordless_path,
     induced_subgraph,
     is_anticonnected,
     is_clique,
@@ -17,6 +16,7 @@ from recolouring import (
 )
 
 from conftest import brute_isomorphic, small_graphs
+from oracles import has_long_chordless_path
 
 
 def test_construction_rejects_bad_edges():

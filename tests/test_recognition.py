@@ -14,7 +14,6 @@ from recolouring import (
     find_two_pairs,
     generate_gk,
     generate_named,
-    has_long_chordless_path,
     is_co_chordal,
     is_compact_bruteforce,
     is_weakly_chordal,
@@ -25,6 +24,7 @@ from recolouring.recognition import ChromaticBoundExceeded
 from recolouring.graph import induced_subgraph
 
 from conftest import all_labelled_graphs, small_graphs
+from oracles import has_long_chordless_path
 
 
 def pair_oracle(g):
