@@ -5,8 +5,9 @@ connectivity, diameters, and frozen colourings."""
 from __future__ import annotations
 
 import time
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .graph import Graph, bits
@@ -16,10 +17,10 @@ DEFAULT_DIAMETER_CAP = 50_000
 
 
 class CapacityError(RuntimeError):
-    """The requested enumeration exceeds the configured memory cap."""
+    """The requested enumeration or search exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Colouring:
     """A proper assignment of palette entries 0..k-1 to all vertices."""
 
@@ -41,31 +42,34 @@ def is_proper(g: Graph, c: Colouring) -> bool:
 
 
 def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_CAP) -> List[Colouring]:
-    """All proper k-colourings in lexicographic order of assignment arrays."""
+    """All proper k-colourings in lexicographic order of assignment arrays.
+
+    Depth-first on an explicit stack of (vertex, colour) choices: entering a
+    vertex pushes its free colours, highest first, so they pop in ascending
+    order."""
     if k < 0:
         raise ValueError("palette size must be non-negative")
     n = g.n
     lower = [[u for u in bits(g.adj[v]) if u < v] for v in range(n)]
     out: List[Colouring] = []
     assign = [0] * n
-
-    def rec(i: int) -> None:
+    stack: List[Tuple[int, int]] = []
+    i = 0  # the vertex to enter next
+    while True:
         if i == n:
             if len(out) >= cap:
                 raise CapacityError(
                     f"more than {cap} proper {k}-colourings; raise the cap"
                 )
             out.append(Colouring(tuple(assign), k))
-            return
-        taken = {assign[u] for u in lower[i]}
-        for c in range(k):
-            if c in taken:
-                continue
-            assign[i] = c
-            rec(i + 1)
-
-    rec(0)
-    return out
+        else:
+            taken = {assign[u] for u in lower[i]}
+            stack.extend([(i, c) for c in range(k - 1, -1, -1) if c not in taken])
+        if not stack:
+            return out
+        v, c = stack.pop()
+        assign[v] = c
+        i = v + 1
 
 
 @dataclass
@@ -74,16 +78,26 @@ class ReconfigGraph:
 
     palette: int
     nodes: List[Colouring]
-    index: Dict[Tuple[int, ...], int]
     adjacency: List[List[int]]
-    component_id: List[int]
     components: List[List[int]] = field(default_factory=list)
 
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+
+def neighbour_assignments(
+    a: Tuple[int, ...], nbrs: List[List[int]], k: int
+) -> List[Tuple[int, ...]]:
+    """The neighbours of the proper colouring ``a`` in R_k: ``a`` with one
+    vertex v switched to a colour that neither v nor any of ``nbrs[v]`` has."""
+    out = []
+    for v in range(len(a)):
+        forbidden = {a[u] for u in nbrs[v]}
+        for col in range(k):
+            if col == a[v] or col in forbidden:
+                continue
+            out.append(a[:v] + (col,) + a[v + 1 :])
+    return out
 
 
 def build_reconfiguration_graph(
@@ -91,40 +105,16 @@ def build_reconfiguration_graph(
 ) -> ReconfigGraph:
     nodes = enumerate_colourings(g, k, cap=cap)
     index = {c.assignment: i for i, c in enumerate(nodes)}
-    n = g.n
-    nbr_lists = [list(bits(g.adj[v])) for v in range(n)]
-    adjacency: List[List[int]] = []
-    for c in nodes:
-        a = c.assignment
-        row = []
-        for v in range(n):
-            forbidden = {a[u] for u in nbr_lists[v]}
-            for col in range(k):
-                if col == a[v] or col in forbidden:
-                    continue
-                row.append(index[a[:v] + (col,) + a[v + 1 :]])
-        row.sort()
-        adjacency.append(row)
-
-    component_id = [-1] * len(nodes)
-    components: List[List[int]] = []
-    for start in range(len(nodes)):
-        if component_id[start] != -1:
-            continue
-        cid = len(components)
-        queue = deque([start])
-        component_id[start] = cid
-        members = [start]
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if component_id[w] == -1:
-                    component_id[w] = cid
-                    members.append(w)
-                    queue.append(w)
-        members.sort()
-        components.append(members)
-    return ReconfigGraph(k, nodes, index, adjacency, component_id, components)
+    nbrs = [list(bits(g.adj[v])) for v in range(g.n)]
+    adjacency = [
+        sorted([index[b] for b in neighbour_assignments(c.assignment, nbrs, k)])
+        for c in nodes
+    ]
+    dist = [-1] * len(nodes)  # set once a node is placed in a component
+    components = [
+        sorted(_bfs_order(adjacency, s, dist)) for s in range(len(nodes)) if dist[s] < 0
+    ]
+    return ReconfigGraph(k, nodes, adjacency, components)
 
 
 @dataclass
@@ -145,37 +135,29 @@ class ExplorationSummary:
 def _canonical_nodes(r: ReconfigGraph) -> List[int]:
     """Map each node to the node of its colouring with colours renamed in
     order of first use.  The canonical colouring uses no more colours than
-    the original, so it is always a node of ``r``."""
+    the original, so it is always a node of ``r``, found by bisection in the
+    lexicographic node order."""
+    key = attrgetter("assignment")
     out = []
     for c in r.nodes:
         rename: Dict[int, int] = {}
         canonical = tuple(rename.setdefault(x, len(rename)) for x in c.assignment)
-        out.append(r.index[canonical])
+        out.append(bisect_left(r.nodes, canonical, key=key))
     return out
 
 
-def _eccentricity(adjacency: List[List[int]], src: int, dist: List[int]) -> int:
-    """Eccentricity of ``src`` within its component, by a level-by-level BFS
-    on ``dist`` (all -1 on entry and on return)."""
+def _bfs_order(adjacency: List[List[int]], src: int, dist: List[int]) -> List[int]:
+    """The nodes reachable from ``src``, in BFS order, with ``dist`` set to
+    their distance from ``src``; ``dist`` must be -1 on all of them on entry."""
     dist[src] = 0
-    frontier = [src]
-    touched = [src]
-    depth = 0
-    while True:
-        nxt = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        if not nxt:
-            break
-        touched += nxt
-        frontier = nxt
-        depth += 1
-    for v in touched:
-        dist[v] = -1
-    return depth
+    order = [src]
+    for u in order:
+        d = dist[u] + 1
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return order
 
 
 def summarize(
@@ -203,7 +185,10 @@ def summarize(
         for i in todo:
             roots = {canonical[u] for u in r.components[i]}
             for v in roots - ecc.keys():
-                ecc[v] = _eccentricity(r.adjacency, v, dist)
+                order = _bfs_order(r.adjacency, v, dist)
+                ecc[v] = dist[order[-1]]
+                for u in order:
+                    dist[u] = -1
             diameters[i] = max(ecc[v] for v in roots)
     frozen = [i for i in range(r.node_count()) if not r.adjacency[i]]
     overall = diameters[0] if len(r.components) == 1 else None

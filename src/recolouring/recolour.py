@@ -5,16 +5,15 @@ guarantee, plus a sequence validator and a BFS distance oracle."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .explorer import (
     DEFAULT_CAP,
+    CapacityError,
     Colouring,
-    ReconfigGraph,
-    build_reconfiguration_graph,
     is_proper,
+    neighbour_assignments,
 )
 from .graph import Graph, bits, is_clique_mask
 from .recognition import qualifying_pair_in
@@ -28,7 +27,7 @@ class CertificateError(ValueError):
     """A certificate's structural facts fail to replay on the host graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecolourStep:
     vertex: int
     new_colour: int
@@ -395,31 +394,36 @@ def validate_sequence(g: Graph, s: RecolourSequence) -> ValidationReport:
     return ValidationReport(True, None, None, len(s.steps), counts)
 
 
-def bfs_distance(
-    g: Graph,
-    k: int,
-    a: Colouring,
-    b: Colouring,
-    cap: int = DEFAULT_CAP,
-    reconfig: Optional[ReconfigGraph] = None,
-) -> Optional[int]:
-    """Exact distance between a and b in R_k(G); None if disconnected."""
-    r = reconfig if reconfig is not None else build_reconfiguration_graph(g, k, cap=cap)
-    try:
-        src = r.index[a.assignment]
-        dst = r.index[b.assignment]
-    except KeyError:
-        raise ValueError("colouring is not a node of the reconfiguration graph")
+def bfs_distance(g: Graph, k: int, a: Colouring, b: Colouring) -> Optional[int]:
+    """Exact distance between a and b in R_k(G); None if disconnected.
+
+    A level-by-level BFS from a over assignment tuples that builds no part of
+    R_k beyond the colourings it reaches.  Raises CapacityError once it has
+    seen more than DEFAULT_CAP colourings."""
+    for c in (a, b):
+        if not is_proper(g, Colouring(c.assignment, k)):
+            raise ValueError("colouring is not a node of the reconfiguration graph")
+    src, dst = a.assignment, b.assignment
     if src == dst:
         return 0
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for wnode in r.adjacency[u]:
-            if wnode not in dist:
-                dist[wnode] = dist[u] + 1
-                if wnode == dst:
-                    return dist[wnode]
-                queue.append(wnode)
+    nbrs = [list(bits(g.adj[v])) for v in range(g.n)]
+    seen = {src}
+    frontier = [src]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in neighbour_assignments(u, nbrs, k):
+                if w not in seen:
+                    if w == dst:
+                        return depth
+                    seen.add(w)
+                    nxt.append(w)
+            if len(seen) > DEFAULT_CAP:
+                raise CapacityError(
+                    f"bfs_distance reached more than {DEFAULT_CAP} proper "
+                    f"{k}-colourings"
+                )
+        frontier = nxt
     return None

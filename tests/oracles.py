@@ -19,16 +19,30 @@ diameter functions:
   the library's dual of testing the complement for an induced cycle of
   length >= 4;
 - ``has_long_chordless_path`` is the exhaustive induced-path test behind the
-  path definition of a 2-pair (no induced x-y path of length >= 3).
+  path definition of a 2-pair (no induced x-y path of length >= 3);
+- ``enumerate_colourings`` is the earlier enumeration, one recursion level
+  per vertex;
+- ``build_reconfiguration_graph`` is the earlier construction of R_k: a
+  dict from assignment tuples to node indices, a component id per node and
+  a deque BFS per component, returned as an ``IndexedReconfigGraph``;
+- ``bfs_distance`` is the earlier distance in R_k: it builds all of R_k (or
+  takes a built one) and runs a dict BFS on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple
 
-from recolouring.explorer import Colouring, ReconfigGraph, is_proper
+from recolouring.explorer import (
+    DEFAULT_CAP,
+    CapacityError,
+    Colouring,
+    ReconfigGraph,
+    is_proper,
+)
 from recolouring.graph import (
     Graph,
     bits,
@@ -345,3 +359,114 @@ def has_long_chordless_path(g: Graph, x: int, y: int) -> bool:
         return False
 
     return extend(x, 1 << x, 0)
+
+
+def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_CAP) -> List[Colouring]:
+    """All proper k-colourings in lexicographic order of assignment arrays."""
+    if k < 0:
+        raise ValueError("palette size must be non-negative")
+    n = g.n
+    lower = [[u for u in bits(g.adj[v]) if u < v] for v in range(n)]
+    out: List[Colouring] = []
+    assign = [0] * n
+
+    def rec(i: int) -> None:
+        if i == n:
+            if len(out) >= cap:
+                raise CapacityError(
+                    f"more than {cap} proper {k}-colourings; raise the cap"
+                )
+            out.append(Colouring(tuple(assign), k))
+            return
+        taken = {assign[u] for u in lower[i]}
+        for c in range(k):
+            if c in taken:
+                continue
+            assign[i] = c
+            rec(i + 1)
+
+    rec(0)
+    return out
+
+
+@dataclass
+class IndexedReconfigGraph:
+    """The earlier shape of the reconfiguration graph."""
+
+    palette: int
+    nodes: List[Colouring]
+    index: Dict[Tuple[int, ...], int]
+    adjacency: List[List[int]]
+    component_id: List[int]
+    components: List[List[int]] = field(default_factory=list)
+
+
+def build_reconfiguration_graph(
+    g: Graph, k: int, cap: int = DEFAULT_CAP
+) -> IndexedReconfigGraph:
+    nodes = enumerate_colourings(g, k, cap=cap)
+    index = {c.assignment: i for i, c in enumerate(nodes)}
+    n = g.n
+    nbr_lists = [list(bits(g.adj[v])) for v in range(n)]
+    adjacency: List[List[int]] = []
+    for c in nodes:
+        a = c.assignment
+        row = []
+        for v in range(n):
+            forbidden = {a[u] for u in nbr_lists[v]}
+            for col in range(k):
+                if col == a[v] or col in forbidden:
+                    continue
+                row.append(index[a[:v] + (col,) + a[v + 1 :]])
+        row.sort()
+        adjacency.append(row)
+
+    component_id = [-1] * len(nodes)
+    components: List[List[int]] = []
+    for start in range(len(nodes)):
+        if component_id[start] != -1:
+            continue
+        cid = len(components)
+        queue = deque([start])
+        component_id[start] = cid
+        members = [start]
+        while queue:
+            u = queue.popleft()
+            for w in adjacency[u]:
+                if component_id[w] == -1:
+                    component_id[w] = cid
+                    members.append(w)
+                    queue.append(w)
+        members.sort()
+        components.append(members)
+    return IndexedReconfigGraph(k, nodes, index, adjacency, component_id, components)
+
+
+def bfs_distance(
+    g: Graph,
+    k: int,
+    a: Colouring,
+    b: Colouring,
+    cap: int = DEFAULT_CAP,
+    reconfig: Optional[IndexedReconfigGraph] = None,
+) -> Optional[int]:
+    """Exact distance between a and b in R_k(G); None if disconnected."""
+    r = reconfig if reconfig is not None else build_reconfiguration_graph(g, k, cap=cap)
+    try:
+        src = r.index[a.assignment]
+        dst = r.index[b.assignment]
+    except KeyError:
+        raise ValueError("colouring is not a node of the reconfiguration graph")
+    if src == dst:
+        return 0
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for wnode in r.adjacency[u]:
+            if wnode not in dist:
+                dist[wnode] = dist[u] + 1
+                if wnode == dst:
+                    return dist[wnode]
+                queue.append(wnode)
+    return None

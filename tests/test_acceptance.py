@@ -213,7 +213,7 @@ def test_certified_recolouring_bounds_on_random_instances():
         b = rng.choice(r.nodes)
         seq = recolour_compact(g, cert, a, b)
         rep = validate_sequence(g, seq)
-        dist = bfs_distance(g, p, a, b, reconfig=r)
+        dist = bfs_distance(g, p, a, b)
         if not (
             rep.ok
             and seq.max_per_vertex() <= 2 * g.n

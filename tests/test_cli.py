@@ -154,6 +154,24 @@ def test_reconfig_capacity_exit_code(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+def test_reconfig_long_path(tmp_path, capsys, schema_validator):
+    # R_2(P_1500): two frozen colourings; the enumeration once recursed per
+    # vertex and overflowed the recursion limit
+    n = 1500
+    path = write_json(
+        tmp_path / "p.json", {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    )
+    code, obj = run_json(
+        capsys, schema_validator,
+        "reconfig", path, "--k", "2", "--frozen", "--diameter",
+    )
+    assert code == 0
+    assert obj["colouring_count"] == 2
+    assert obj["component_count"] == 2
+    assert obj["component_diameters"] == [0, 0]
+    assert obj["frozen_colouring_indices"] == [0, 1]
+
+
 def test_recolour_then_validate_round_trip(tmp_path, capsys, schema_validator):
     graph = write_json(tmp_path / "p4.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
     src = write_json(tmp_path / "a.json", [0, 1, 0, 1])

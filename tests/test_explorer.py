@@ -52,6 +52,11 @@ def test_enumeration_capacity_error():
         enumerate_colourings(Graph(6), 4, cap=10)
 
 
+def test_enumeration_of_a_long_path():
+    cols = enumerate_colourings(generate_named("path", 1500), 2)
+    assert [c.assignment[:3] for c in cols] == [(0, 1, 0), (1, 0, 1)]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("k", range(0, 6))
 def test_counts_match_chromatic_polynomials(n, k):

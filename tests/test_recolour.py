@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import recolouring.recolour as recolour_module
 from recolouring import (
+    CapacityError,
     CertificateError,
     CliqueComponentRemoval,
     Colouring,
@@ -17,7 +19,6 @@ from recolouring import (
     RecolourStep,
     TriangleRemoval,
     bfs_distance,
-    build_reconfiguration_graph,
     enumerate_colourings,
     find_elimination_certificate,
     generate_named,
@@ -97,7 +98,6 @@ def exhaustive_recolour_check(g, p, sample=None, seed=0):
     cert = find_elimination_certificate(g)
     assert cert is not None
     cols = enumerate_colourings(g, p)
-    r = build_reconfiguration_graph(g, p)
     pairs = list(itertools.product(cols, cols))
     if sample is not None and len(pairs) > sample:
         pairs = random.Random(seed).sample(pairs, sample)
@@ -107,7 +107,7 @@ def exhaustive_recolour_check(g, p, sample=None, seed=0):
         assert rep.ok, rep.message
         assert seq.max_per_vertex() <= 2 * g.n
         assert len(seq) <= 2 * g.n * g.n
-        dist = bfs_distance(g, p, a, b, reconfig=r)
+        dist = bfs_distance(g, p, a, b)
         assert dist is not None and len(seq) >= dist
 
 
@@ -258,3 +258,21 @@ def test_bfs_distance_cases():
     assert bfs_distance(k2, 2, Colouring((0, 1), 2), Colouring((1, 0), 2)) is None
     with pytest.raises(ValueError):
         bfs_distance(p3, 3, Colouring((0, 0, 0), 3), a)
+
+
+def test_bfs_distance_on_a_long_path():
+    n = 1500
+    a = Colouring(tuple(i % 2 for i in range(n)), 2)
+    b = Colouring(tuple(1 - i % 2 for i in range(n)), 2)
+    assert bfs_distance(generate_named("path", n), 2, a, b) is None
+
+
+def test_bfs_distance_stops_at_the_cap(monkeypatch):
+    # R_3(P_60) has 3 * 2^59 nodes: without the patched cap this search
+    # would run until memory is gone
+    monkeypatch.setattr(recolour_module, "DEFAULT_CAP", 1000)
+    n = 60
+    a = Colouring(tuple(i % 2 for i in range(n)), 3)
+    b = Colouring(tuple(1 - i % 2 for i in range(n)), 3)
+    with pytest.raises(CapacityError):
+        bfs_distance(generate_named("path", n), 3, a, b)
