@@ -9,11 +9,9 @@ from .explorer import (
     CapacityError,
     Colouring,
     ExplorationSummary,
-    FrozenSearchResult,
     ReconfigGraph,
     build_reconfiguration_graph,
     enumerate_colourings,
-    find_frozen_colourings,
     is_frozen,
     is_proper,
     summarize,
@@ -30,12 +28,10 @@ from .generators import (
 from .graph import (
     Graph,
     complement,
-    connected_components,
     induced_subgraph,
     is_anticonnected,
     is_clique,
     is_complete,
-    remove_vertices,
 )
 from .recognition import (
     AnticonnectedProbe,

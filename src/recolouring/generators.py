@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional
 
-from .explorer import Colouring, find_frozen_colourings
+from .explorer import Colouring, is_frozen, is_proper
 from .graph import Graph, complement
 from .recognition import (
     chromatic_number,
@@ -24,22 +24,29 @@ from .recognition import (
 
 @dataclass
 class GkBundle:
-    """The counterexample graph for one k, with a base k-colouring and, when
-    the search succeeds, a frozen (k+1)-colouring."""
+    """The counterexample graph for one k, with a proper k-colouring and a
+    frozen (k+1)-colouring.  The frozen colouring is an isolated node of
+    R_{k+1}; the base colouring, which leaves colour k unused, is another
+    node, so the pair proves R_{k+1} disconnected."""
 
     graph: Graph
     k: int
     base_colouring: Colouring
-    frozen_colouring: Optional[Colouring]
-    frozen_search_exhausted: bool
+    frozen_colouring: Colouring
 
 
-def generate_gk(k: int, frozen_budget: float = 60.0) -> GkBundle:
+def generate_gk(k: int) -> GkBundle:
     """Four cliques K_{k-1} (u, v, w, z blocks) plus hubs x and y.
 
     x and y see every u_i and v_i; u_1 and v_1 see every w_i and z_i; the two
     extra edges are x-z_1 and y-w_1.  Vertex ids: x=0, y=1, then the u, v, w,
     z blocks in index order.
+
+    Both colourings are given in closed form and checked in O(n^2):
+    - base k-colouring: x = y = 1, u = v = (0, 2, 3, ..., k-1) and
+      w = z = (2, 1, 3, ..., k-1);
+    - frozen (k+1)-colouring: x = 0, y = 1, u = (2, 3, 4, ..., k),
+      v = (3, 2, 4, ..., k), w = (0, 1, 4, ..., k) and z = (1, 0, 4, ..., k).
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -72,12 +79,18 @@ def generate_gk(k: int, frozen_budget: float = 60.0) -> GkBundle:
         labels[vid] = f"z{i}"
 
     g = Graph(n, [(min(a, b), max(a, b)) for a, b in edges], labels=labels)
-    base = find_k_colouring(g, k)
-    if base is None:
-        raise AssertionError("construction is not k-colourable")
-    search = find_frozen_colourings(g, k + 1, budget_seconds=frozen_budget)
-    frozen = search.colourings[0] if search.colourings else None
-    return GkBundle(g, k, Colouring(base, k), frozen, search.exhausted)
+    # colours of x and y, then of the u, v, w and z blocks; past its second
+    # member, each block is coloured 3, 4, ..., k-1 (base) or 4, 5, ..., k
+    tail = list(range(3, k))
+    base = Colouring(tuple([1, 1] + 2 * ([0, 2] + tail) + 2 * ([2, 1] + tail)), k)
+    if not is_proper(g, base):
+        raise AssertionError("base colouring is not a proper k-colouring")
+    top = list(range(4, k + 1))
+    blocks = ([2, 3], [3, 2], [0, 1], [1, 0])
+    frozen = Colouring(tuple([0, 1] + [c for b in blocks for c in b + top]), k + 1)
+    if not (is_proper(g, frozen) and is_frozen(g, frozen)):
+        raise AssertionError("closed-form (k+1)-colouring is not frozen")
+    return GkBundle(g, k, base, frozen)
 
 
 def generate_named(name: str, n: Optional[int] = None) -> Graph:

@@ -131,15 +131,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]
     return Graph(len(keep), edges, labels=labels), mapping
 
 
-def remove_vertices(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
-    """Equals induced_subgraph on the complementary vertex set."""
-    drop = set(s)
-    for v in drop:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
-
-
 def component_mask(g: Graph, start: int, removed: int = 0) -> int:
     """Bitmask of the component of ``start`` in g minus the ``removed`` mask."""
     comp = 1 << start
@@ -151,19 +142,6 @@ def component_mask(g: Graph, start: int, removed: int = 0) -> int:
         frontier = nxt & ~removed & ~comp
         comp |= frontier
     return comp
-
-
-def connected_components(g: Graph) -> List[frozenset]:
-    """Components as a partition, ordered by smallest member id."""
-    out = []
-    seen = 0
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = component_mask(g, v)
-        seen |= comp
-        out.append(frozenset(bits(comp)))
-    return out
 
 
 def is_connected(g: Graph) -> bool:
@@ -193,7 +171,10 @@ def is_complete(g: Graph) -> bool:
 
 
 def is_anticonnected(g: Graph, s: Iterable[int]) -> bool:
-    """True iff s induces a graph whose complement is connected."""
+    """True iff s induces a graph whose complement is connected.
+
+    With ``two_pair_via_anticonnected_set``, its one caller, it reproduces
+    the paper's anticonnected-set argument."""
     keep = sorted(set(s))
     if not keep:
         raise ValueError("anticonnectedness is undefined for the empty set")

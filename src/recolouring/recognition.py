@@ -199,7 +199,13 @@ class ChromaticBoundExceeded(ValueError):
 
 
 def find_k_colouring(g: Graph, k: int) -> Optional[Tuple[int, ...]]:
-    """A proper k-colouring via saturation-ordered backtracking, or None."""
+    """A proper k-colouring via saturation-ordered backtracking, or None.
+
+    The next vertex is the uncoloured one of most distinct neighbour colours,
+    then highest degree, then least id; its colours are tried in ascending
+    order, at most one of them not used yet.  The search runs on an explicit
+    stack of (vertex, colour, colours used before it, neighbours whose
+    saturation it raised), so any path length works."""
     n = g.n
     if n == 0:
         return ()
@@ -207,6 +213,7 @@ def find_k_colouring(g: Graph, k: int) -> Optional[Tuple[int, ...]]:
         return None
     colour = [-1] * n
     sat = [0] * n  # bitmask of colours on coloured neighbours
+    degree = [g.degree(v) for v in range(n)]
 
     def pick() -> int:
         best = -1
@@ -214,35 +221,36 @@ def find_k_colouring(g: Graph, k: int) -> Optional[Tuple[int, ...]]:
         for v in range(n):
             if colour[v] != -1:
                 continue
-            key = (sat[v].bit_count(), g.degree(v), -v)
+            key = (sat[v].bit_count(), degree[v], -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
         return best
 
-    def rec(coloured: int, used: int) -> bool:
-        if coloured == n:
-            return True
-        v = pick()
+    stack: List[Tuple[int, int, int, List[int]]] = []
+    v, c, used = pick(), 0, 0  # the vertex to colour, its next colour to try
+    while True:
         limit = min(k, used + 1)  # at most one brand-new colour
-        for c in range(limit):
-            if (sat[v] >> c) & 1:
-                continue
+        while c < limit and (sat[v] >> c) & 1:
+            c += 1
+        if c < limit:
             colour[v] = c
             touched = []
             for u in bits(g.adj[v]):
                 if not (sat[u] >> c) & 1:
                     sat[u] |= 1 << c
                     touched.append(u)
-            if rec(coloured + 1, max(used, c + 1)):
-                return True
-            colour[v] = -1
-            for u in touched:
-                sat[u] &= ~(1 << c)
-        return False
-
-    if rec(0, 0):
-        return tuple(colour)
-    return None
+            stack.append((v, c, used, touched))
+            if len(stack) == n:
+                return tuple(colour)
+            v, c, used = pick(), 0, max(used, c + 1)
+            continue
+        if not stack:
+            return None
+        v, c, used, touched = stack.pop()
+        colour[v] = -1
+        for u in touched:
+            sat[u] &= ~(1 << c)
+        c += 1
 
 
 def chromatic_number(g: Graph, upper_bound: Optional[int] = None) -> int:
@@ -363,6 +371,9 @@ def two_pair_via_anticonnected_set(
 ) -> Tuple[AnticonnectedProbe, TwoPair]:
     """Grow an anticonnected set T from the centre of the chordless path
     a-m-b until maximal, then extract a 2-pair of g from the T-complete set.
+
+    It reproduces the paper's anticonnected-set argument for the existence
+    of a 2-pair; the library finds 2-pairs by the separator criterion.
     """
     if a == b or g.has_edge(a, b):
         raise ValueError("a and b must be distinct and nonadjacent")

@@ -38,4 +38,4 @@ def small_graphs(draw, max_n=8):
 def g3_bundle():
     from recolouring import generate_gk
 
-    return generate_gk(3, frozen_budget=30.0)
+    return generate_gk(3)

@@ -26,11 +26,17 @@ diameter functions:
   dict from assignment tuples to node indices, a component id per node and
   a deque BFS per component, returned as an ``IndexedReconfigGraph``;
 - ``bfs_distance`` is the earlier distance in R_k: it builds all of R_k (or
-  takes a built one) and runs a dict BFS on it.
+  takes a built one) and runs a dict BFS on it;
+- ``find_k_colouring`` is the earlier saturation-ordered colouring search,
+  one recursion level per coloured vertex;
+- ``find_frozen_colourings`` (with ``FrozenSearchResult``) is the budgeted
+  backtracking search for frozen colourings that ``generate_gk`` ran before
+  its frozen colouring had a closed form.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -470,3 +476,122 @@ def bfs_distance(
                     return dist[wnode]
                 queue.append(wnode)
     return None
+
+
+def find_k_colouring(g: Graph, k: int) -> Optional[Tuple[int, ...]]:
+    """A proper k-colouring via saturation-ordered backtracking, or None."""
+    n = g.n
+    if n == 0:
+        return ()
+    if k <= 0:
+        return None
+    colour = [-1] * n
+    sat = [0] * n  # bitmask of colours on coloured neighbours
+
+    def pick() -> int:
+        best = -1
+        best_key = None
+        for v in range(n):
+            if colour[v] != -1:
+                continue
+            key = (sat[v].bit_count(), g.degree(v), -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        return best
+
+    def rec(coloured: int, used: int) -> bool:
+        if coloured == n:
+            return True
+        v = pick()
+        limit = min(k, used + 1)  # at most one brand-new colour
+        for c in range(limit):
+            if (sat[v] >> c) & 1:
+                continue
+            colour[v] = c
+            touched = []
+            for u in bits(g.adj[v]):
+                if not (sat[u] >> c) & 1:
+                    sat[u] |= 1 << c
+                    touched.append(u)
+            if rec(coloured + 1, max(used, c + 1)):
+                return True
+            colour[v] = -1
+            for u in touched:
+                sat[u] &= ~(1 << c)
+        return False
+
+    if rec(0, 0):
+        return tuple(colour)
+    return None
+
+
+@dataclass
+class FrozenSearchResult:
+    colourings: List[Colouring]
+    exhausted: bool  # False when the time budget ran out first
+
+
+def find_frozen_colourings(
+    g: Graph, k: int, budget_seconds: float = 60.0
+) -> FrozenSearchResult:
+    """Backtracking search for frozen k-colourings.
+
+    A branch is pruned as soon as some vertex can no longer see the whole
+    palette in its closed neighbourhood.  Exhaustive within the budget.
+    """
+    if k < 0:
+        raise ValueError("palette size must be non-negative")
+    n = g.n
+    full = (1 << k) - 1
+    closed = [g.adj[v] | (1 << v) for v in range(n)]
+    if any(closed[v].bit_count() < k for v in range(n)):
+        return FrozenSearchResult([], True)
+    affected = [[u for u in range(n) if (closed[u] >> v) & 1] for v in range(n)]
+
+    colour = [-1] * n
+    seen = [0] * n  # palette bits present among assigned closed neighbours
+    remaining = [closed[v].bit_count() for v in range(n)]
+    found: List[Colouring] = []
+    deadline = time.monotonic() + budget_seconds
+    ticks = 0
+
+    class _Timeout(Exception):
+        pass
+
+    def rec(i: int) -> None:
+        nonlocal ticks
+        ticks += 1
+        if ticks % 2048 == 0 and time.monotonic() > deadline:
+            raise _Timeout
+        if i == n:
+            found.append(Colouring(tuple(colour), k))
+            return
+        nbr_cols = 0
+        for u in bits(g.adj[i]):
+            if colour[u] != -1:
+                nbr_cols |= 1 << colour[u]
+        for c in range(k):
+            if (nbr_cols >> c) & 1:
+                continue
+            colour[i] = c
+            undo = []
+            ok = True
+            for v in affected[i]:
+                undo.append((v, seen[v]))
+                seen[v] |= 1 << c
+                remaining[v] -= 1
+                if (full & ~seen[v]).bit_count() > remaining[v]:
+                    ok = False
+            if ok:
+                rec(i + 1)
+            for v, old in reversed(undo):
+                seen[v] = old
+                remaining[v] += 1
+            colour[i] = -1
+
+    exhausted = True
+    try:
+        rec(0)
+    except _Timeout:
+        exhausted = False
+    return FrozenSearchResult(found, exhausted)

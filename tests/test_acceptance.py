@@ -11,6 +11,7 @@ import random
 
 from recolouring import (
     CapacityError,
+    Colouring,
     TriangleRemoval,
     bfs_distance,
     build_reconfiguration_graph,
@@ -24,6 +25,8 @@ from recolouring import (
     generate_named,
     induced_subgraph,
     is_compact_bruteforce,
+    is_frozen,
+    is_proper,
     is_weakly_chordal,
     random_cochordal,
     random_graph,
@@ -48,23 +51,35 @@ def report(name, ok, detail=""):
 
 
 def test_counterexample_family_disconnects_reconfiguration_graph():
-    bundle = generate_gk(3, frozen_budget=45.0)
+    bundle = generate_gk(3)
     g = bundle.graph
     ok = is_weakly_chordal(g) and chromatic_number(g) == 3
     r = build_reconfiguration_graph(g, 4)
     s = summarize(r, compute_diameters=False)
-    ok = ok and s.component_count >= 2 and len(s.frozen_colouring_indices) >= 1
+    ok = ok and (s.colouring_count, s.component_count) == (1272, 25)
+    ok = ok and len(s.frozen_colouring_indices) == 24
     detail = (
-        f"n={g.n}, components={s.component_count}, "
-        f"frozen={len(s.frozen_colouring_indices)}"
+        f"n={g.n}, colourings={s.colouring_count}, "
+        f"components={s.component_count}, frozen={len(s.frozen_colouring_indices)}"
     )
-    # the next family member is too large to materialize in full, so only the
-    # frozen-colouring search runs there; its outcome is reported, not gated
-    big = generate_gk(4, frozen_budget=20.0)
-    detail += (
-        f"; k=4 frozen search: found={big.frozen_colouring is not None}, "
-        f"exhausted={big.frozen_search_exhausted}"
-    )
+    # larger members are too large to materialize in full; for each k, the
+    # frozen (k+1)-colouring is an isolated node of R_{k+1} and the base
+    # k-colouring, which leaves colour k unused, is another node
+    witnessed = []
+    for k in range(3, 41):
+        bundle = generate_gk(k)
+        g, base, frozen = bundle.graph, bundle.base_colouring, bundle.frozen_colouring
+        base_in_next = Colouring(base.assignment, k + 1)
+        if (
+            base.k == k
+            and is_proper(g, base)
+            and frozen.k == k + 1
+            and is_frozen(g, frozen)
+            and not is_frozen(g, base_in_next)
+        ):
+            witnessed.append(k)
+    ok = ok and witnessed == list(range(3, 41))
+    detail += f"; disconnection witnessed for k=3..40: {len(witnessed)} of 38"
     report("counterexample family disconnection", ok, detail)
 
 

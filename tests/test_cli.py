@@ -9,6 +9,7 @@ from jsonschema import Draft202012Validator
 
 import recolouring
 from recolouring.cli import build_parser, main
+from recolouring.io import load_graph
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_gen_gk_writes_graph_and_report(tmp_path, capsys, schema_validator):
     code, report = run_json(
         capsys,
         schema_validator,
-        "gen", "gk", "--k", "3", "--frozen-budget", "30", "-o", str(out),
+        "gen", "gk", "--k", "3", "-o", str(out),
     )
     assert code == 0
     assert report["report"] == "gen_gk"
@@ -60,6 +61,19 @@ def test_gen_gk_writes_graph_and_report(tmp_path, capsys, schema_validator):
     graph_obj = json.loads(out.read_text())
     schema_validator.validate(graph_obj)
     assert graph_obj["labels"]["0"] == "x"
+
+
+def test_gen_gk_large_k(tmp_path, capsys, schema_validator):
+    # the base colouring once came from a search that recursed per vertex
+    out = tmp_path / "g300.json"
+    code, report = run_json(
+        capsys, schema_validator, "gen", "gk", "--k", "300", "-o", str(out)
+    )
+    assert code == 0
+    g = load_graph(str(out))
+    assert report["n"] == g.n == 4 * 299 + 2
+    frozen = recolouring.Colouring(tuple(report["frozen_colouring"]), 301)
+    assert recolouring.is_frozen(g, frozen)
 
 
 def test_gen_random_deterministic(tmp_path, capsys):

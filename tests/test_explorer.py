@@ -7,7 +7,6 @@ from recolouring import (
     Graph,
     build_reconfiguration_graph,
     enumerate_colourings,
-    find_frozen_colourings,
     generate_named,
     is_frozen,
     is_proper,
@@ -15,6 +14,7 @@ from recolouring import (
 )
 
 from conftest import small_graphs
+from oracles import find_frozen_colourings
 
 
 def chromatic_poly_path(n, k):

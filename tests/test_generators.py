@@ -17,6 +17,7 @@ from recolouring import (
 )
 from recolouring.explorer import is_frozen
 
+import oracles
 from conftest import brute_isomorphic
 
 
@@ -33,7 +34,7 @@ def test_g3_shape(g3_bundle):
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_gk_invariants(k):
-    bundle = generate_gk(k, frozen_budget=0.0 if k > 3 else 30.0)
+    bundle = generate_gk(k)
     g = bundle.graph
     assert g.n == 4 * (k - 1) + 2
     # 4 cliques + two hubs over 2(k-1) vertices + 2(k-1) hub-to-w/z
@@ -47,11 +48,24 @@ def test_gk_invariants(k):
 
 
 def test_g3_frozen_colouring(g3_bundle):
-    assert g3_bundle.frozen_search_exhausted
     frozen = g3_bundle.frozen_colouring
-    assert frozen is not None and frozen.k == 4
+    assert frozen.k == 4
     assert is_proper(g3_bundle.graph, frozen)
     assert is_frozen(g3_bundle.graph, frozen)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_gk_frozen_formula_is_the_first_frozen_colouring(k):
+    bundle = generate_gk(k)
+    search = oracles.find_frozen_colourings(bundle.graph, k + 1)
+    assert search.exhausted
+    assert bundle.frozen_colouring == search.colourings[0]
+
+
+def test_gk_base_formula_is_the_searched_colouring():
+    for k in range(3, 41):
+        bundle = generate_gk(k)
+        assert bundle.base_colouring.assignment == find_k_colouring(bundle.graph, k)
 
 
 def test_gk_rejects_small_k():

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from recolouring import (
     Graph,
     complement,
-    connected_components,
     generate_named,
     induced_subgraph,
     is_anticonnected,
     is_clique,
     is_complete,
-    remove_vertices,
 )
+from recolouring.graph import component_mask
 
 from conftest import brute_isomorphic, small_graphs
 from oracles import has_long_chordless_path
@@ -67,24 +66,16 @@ def test_induced_subgraph_rejects_out_of_range():
         induced_subgraph(Graph(3), [0, 5])
 
 
-def test_remove_vertices_matches_induced():
-    c5 = generate_named("cycle", 5)
-    removed, _ = remove_vertices(c5, [4])
-    kept, _ = induced_subgraph(c5, [0, 1, 2, 3])
-    assert removed == kept
-
-
 def test_components_of_disjoint_cliques():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    assert connected_components(g) == [frozenset({0, 1, 2}), frozenset({3, 4})]
+    assert [component_mask(g, v) for v in range(5)] == [0b00111] * 3 + [0b11000] * 2
+    # removed vertices are neither crossed nor reported
+    assert component_mask(g, 0, removed=0b00010) == 0b00101
+    assert component_mask(g, 3, removed=0b10000) == 0b01000
 
 
 def test_components_of_edgeless_graph():
-    assert connected_components(Graph(3)) == [
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({2}),
-    ]
+    assert [component_mask(Graph(3), v) for v in range(3)] == [0b001, 0b010, 0b100]
 
 
 def test_is_clique():
@@ -137,11 +128,11 @@ def test_edge_count_splits_between_graph_and_complement(g):
 @settings(max_examples=150, deadline=None)
 @given(small_graphs())
 def test_components_partition_vertices(g):
-    comps = connected_components(g)
-    seen = set()
-    for comp in comps:
-        assert not (comp & seen)
-        seen |= comp
-    assert seen == set(range(g.n))
+    comps = [component_mask(g, v) for v in range(g.n)]
+    for v, comp in enumerate(comps):
+        assert (comp >> v) & 1 and not comp & ~g.full_mask
+        # every member has the same component, so two components meet only
+        # when they are equal: the masks partition the vertices
+        assert all(comps[u] == comp for u in range(g.n) if (comp >> u) & 1)
     for u, v in g.edges():
-        assert any(u in comp and v in comp for comp in comps)
+        assert comps[u] == comps[v]

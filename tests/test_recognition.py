@@ -147,8 +147,16 @@ def test_chromatic_number():
 
 def test_chromatic_number_of_gk_family():
     for k in (3, 4):
-        g = generate_gk(k, frozen_budget=0.1).graph
+        g = generate_gk(k).graph
         assert chromatic_number(g) == k
+
+
+def test_chromatic_number_of_long_path():
+    # the colouring search once recursed per coloured vertex
+    p = generate_named("path", 1500)
+    assert chromatic_number(p) == 2
+    c = find_k_colouring(p, 2)
+    assert all(c[i] != c[i + 1] for i in range(1499))
 
 
 def brute_k_colourable(g, k):

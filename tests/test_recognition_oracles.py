@@ -1,19 +1,29 @@
-"""The forbidden-pattern scan and the co-chordal test against their oracles.
+"""The forbidden-pattern scan, the co-chordal test and the colouring search
+against their oracles.
 
 ``contains_induced`` looks each subset's edge code up in a table of the
 pattern's labelled copies; ``oracles.contains_induced`` matches the subset
 against every permutation of the pattern.  ``is_co_chordal`` looks for an
 induced cycle of length >= 4 in the complement; ``oracles.is_co_chordal``
-looks for an induced 2K2 and an antihole in the graph itself.  Both pairs
-must agree on every labelled graph with at most six vertices, where every
-labelled copy of each pattern occurs, and on larger seeded samples.
+looks for an induced 2K2 and an antihole in the graph itself.
+``find_k_colouring`` runs on an explicit stack; ``oracles.find_k_colouring``
+recurses once per coloured vertex, and both must return the same colouring
+(or None) for every palette size k = 1..n+1.  All pairs must agree on every
+labelled graph with at most six vertices, where every labelled copy of each
+pattern occurs, and on larger seeded samples.
 """
 
 import pytest
 
 import oracles
 from conftest import all_labelled_graphs
-from recolouring import contains_induced, is_co_chordal, random_cochordal, random_graph
+from recolouring import (
+    contains_induced,
+    find_k_colouring,
+    is_co_chordal,
+    random_cochordal,
+    random_graph,
+)
 from recolouring.recognition import PATTERNS
 
 
@@ -22,6 +32,9 @@ def assert_agrees(g):
         got = contains_induced(g, name)
         assert got == oracles.contains_induced(g, name), (name, g.n, g.edges())
     assert is_co_chordal(g) == oracles.is_co_chordal(g), (g.n, g.edges())
+    for k in range(1, g.n + 2):
+        got = find_k_colouring(g, k)
+        assert got == oracles.find_k_colouring(g, k), (k, g.n, g.edges())
 
 
 def test_pattern_table_names_every_oracle_pattern():
