@@ -193,16 +193,18 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         compact = {"verdict": verdict.compact, "witness": witness}
     else:
         compact = {"verdict": None, "reason": f"n > compact limit {args.compact_limit}"}
+    weakly_chordal = is_weakly_chordal(g)
     report = {
         "report": "recognize",
         "tool_version": __version__,
         "input_digest": _digest(args.graph),
         "n": g.n,
-        "weakly_chordal": is_weakly_chordal(g),
+        "weakly_chordal": weakly_chordal,
         "co_chordal": is_co_chordal(g),
-        "p5_p5bar_c5_free": all(
-            contains_induced(g, pat) is None for pat in ("p5", "p5_complement", "c5")
-        ),
+        # C5 is a hole, and longer holes and antiholes contain P5 and P5bar
+        "p5_p5bar_c5_free": weakly_chordal
+        and contains_induced(g, "p5") is None
+        and contains_induced(g, "p5_complement") is None,
         "two_pairs": [_two_pair_to_obj(p) for p in find_two_pairs(g)],
         "chromatic_number": chromatic_number(g),
         "compact": compact,

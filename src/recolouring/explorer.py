@@ -37,7 +37,10 @@ def is_proper(g: Graph, c: Colouring) -> bool:
     a = c.assignment
     if len(a) != g.n or any(not 0 <= x < c.k for x in a):
         return False
-    return all(a[u] != a[v] for u, v in g.edges())
+    classes: Dict[int, int] = {}  # colour -> bitmask of its vertices
+    for v, x in enumerate(a):
+        classes[x] = classes.get(x, 0) | 1 << v
+    return not any(g.adj[v] & classes[x] for v, x in enumerate(a))
 
 
 def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_CAP) -> List[Colouring]:

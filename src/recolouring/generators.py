@@ -88,7 +88,7 @@ def generate_gk(k: int) -> GkBundle:
     top = list(range(4, k + 1))
     blocks = ([2, 3], [3, 2], [0, 1], [1, 0])
     frozen = Colouring(tuple([0, 1] + [c for b in blocks for c in b + top]), k + 1)
-    if not (is_proper(g, frozen) and is_frozen(g, frozen)):
+    if not is_frozen(g, frozen):
         raise AssertionError("closed-form (k+1)-colouring is not frozen")
     return GkBundle(g, k, base, frozen)
 
@@ -202,9 +202,11 @@ def _twin_blowup(base: Graph) -> Graph:
 
 def _candidate_check(g: Graph) -> Optional[Dict]:
     """Full property transcript if g is a hit, else None."""
-    for pattern in ("c5", "p5", "p5_complement"):
-        if contains_induced(g, pattern) is not None:
-            return None
+    # C5 is a hole, and longer holes and antiholes contain P5 and P5bar
+    if not is_weakly_chordal(g) or any(
+        contains_induced(g, pat) is not None for pat in ("p5", "p5_complement")
+    ):
+        return None
     if find_k_colouring(g, 3) is not None:
         return None  # 3-colourable, chromatic number below 4
     if find_k_colouring(g, 4) is None:

@@ -4,8 +4,8 @@ forbidden patterns, exact chromatic number, and compactness checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import combinations
+from typing import List, Optional, Tuple
 
 from .graph import (
     Graph,
@@ -85,49 +85,67 @@ def find_two_pairs(g: Graph) -> List[TwoPair]:
     ]
 
 
-# -- holes and antiholes ------------------------------------------------------
+# -- holes, antiholes and fixed patterns: one chordless-path search -----------
 
 
-def _find_induced_cycle(g: Graph, min_len: int) -> Optional[Tuple[int, ...]]:
-    """Least induced cycle of length >= min_len under ascending-id DFS, if any.
+def _chordless(
+    adj: List[int], size: int, cycle: bool = False, most: int = 0
+) -> Optional[Tuple[int, ...]]:
+    """The first induced path on ``size`` vertices or, with ``cycle``, the
+    first induced cycle on at least ``size`` (and at most ``most``, if set)
+    vertices, under depth-first search in ascending id order.
 
-    Paths are grown with the cycle's smallest vertex first, so the search is
-    deterministic and each cycle is considered from a canonical rotation.
+    A path grows only by a neighbour of its last vertex that lies outside the
+    closed neighbourhoods of its other vertices.  In cycle mode the start is
+    the cycle's least vertex: only vertices above it are used, it is excluded
+    from that rule, and a neighbour of it closes the cycle.  While a close
+    would still be too short, the start's neighbours leave the candidates,
+    since extending through one would add a chord.  The search runs on an
+    explicit stack of candidate bitmasks, so any path length works.
     """
-
-    def extend(v0: int, path: List[int], used: int) -> Optional[Tuple[int, ...]]:
-        last = path[-1]
-        interior = used & ~(1 << v0) & ~(1 << last)
-        for w in bits(g.adj[last] & ~used):
-            if w < v0:
-                continue  # v0 is canonically the smallest cycle vertex
-            if g.adj[w] & interior:
+    for start in range(len(adj)):
+        above = -1 << (start + 1) if cycle else -1
+        ring = adj[start] if cycle else 0  # the vertices that close a cycle
+        path = [start]
+        barred = [0]  # per depth: closed neighbourhoods the next vertex avoids
+        stack = [adj[start] & above]  # per depth: candidates not yet tried
+        while stack:
+            mask = stack[-1]
+            if not mask:
+                stack.pop()
+                path.pop()
+                barred.pop()
                 continue
-            if len(path) >= 2 and (g.adj[w] >> v0) & 1:
-                if len(path) + 1 >= min_len:
-                    return tuple(path) + (w,)
-                continue  # closing now is too short; extending adds a chord
+            stack[-1] = mask & (mask - 1)
+            w = (mask & -mask).bit_length() - 1
+            k = len(path)
+            if k > 1 and (ring >> w) & 1:
+                return (*path, w)
+            last = path[-1]
+            rule = barred[-1]
+            if k > 1 or not cycle:
+                rule |= adj[last] | 1 << last
+            k += 1
+            if k == size and not cycle:
+                return (*path, w)
+            nxt = adj[w] & above & ~rule
+            if k + 1 < size:
+                nxt &= ~ring
+            elif k + 1 == most:
+                nxt &= ring
             path.append(w)
-            hit = extend(v0, path, used | (1 << w))
-            if hit:
-                return hit
-            path.pop()
-        return None
-
-    for v0 in range(g.n):
-        hit = extend(v0, [v0], 1 << v0)
-        if hit:
-            return hit
+            barred.append(rule)
+            stack.append(nxt)
     return None
 
 
 def find_hole(g: Graph) -> Optional[HoleWitness]:
-    cycle = _find_induced_cycle(g, 5)
+    cycle = _chordless(g.adj, 5, cycle=True)
     return HoleWitness(cycle, "hole") if cycle else None
 
 
 def find_antihole(g: Graph) -> Optional[HoleWitness]:
-    cycle = _find_induced_cycle(complement(g), 5)
+    cycle = _chordless(complement(g).adj, 5, cycle=True)
     return HoleWitness(cycle, "antihole") if cycle else None
 
 
@@ -141,54 +159,25 @@ def is_co_chordal(g: Graph) -> bool:
     Equivalently g is (2K2, antihole)-free, since an induced 2K2 of g is an
     induced C4 of the complement and an antihole of g is a hole of it.
     """
-    return _find_induced_cycle(complement(g), 4) is None
-
-
-# -- fixed forbidden patterns -------------------------------------------------
-
-
-def _labelled_copies(pattern: Graph) -> Tuple[int, FrozenSet[int]]:
-    """The pattern's vertex count and the edge codes of all its labellings.
-
-    Bit i of a code is set when pair i of combinations(range(m), 2) is an
-    edge, so an m-vertex subset induces the pattern exactly when its own
-    code, read the same way, is one of these.
-    """
-    m = pattern.n
-    pairs = list(enumerate(combinations(range(m), 2)))
-    codes = frozenset(
-        sum(1 << i for i, (u, v) in pairs if pattern.has_edge(perm[u], perm[v]))
-        for perm in permutations(range(m))
-    )
-    return m, codes
-
-
-_P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-
-PATTERNS: Dict[str, Tuple[int, FrozenSet[int]]] = {
-    "p5": _labelled_copies(_P5),
-    "p5_complement": _labelled_copies(complement(_P5)),
-    "c5": _labelled_copies(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])),
-    "2k2": _labelled_copies(Graph(4, [(0, 1), (2, 3)])),
-    "k4": _labelled_copies(Graph(4, list(combinations(range(4), 2)))),
-    "diamond": _labelled_copies(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])),
-}
+    return _chordless(complement(g).adj, 4, cycle=True) is None
 
 
 def contains_induced(g: Graph, pattern: str) -> Optional[frozenset]:
-    """First vertex set (lex order) inducing the named pattern, or None."""
-    if pattern not in PATTERNS:
+    """A vertex set inducing the named pattern, or None.
+
+    The patterns are "p5", "p5_complement" (an induced P5 of the complement)
+    and "c5".  The set is deterministic, but not in general the
+    lexicographically first one.
+    """
+    if pattern == "p5":
+        hit = _chordless(g.adj, 5)
+    elif pattern == "p5_complement":
+        hit = _chordless(complement(g).adj, 5)
+    elif pattern == "c5":
+        hit = _chordless(g.adj, 5, cycle=True, most=5)
+    else:
         raise ValueError(f"unknown pattern {pattern!r}")
-    m, codes = PATTERNS[pattern]
-    adj = g.adj
-    for subset in combinations(range(g.n), m):
-        code = 0
-        for i, (u, v) in enumerate(combinations(subset, 2)):
-            if (adj[u] >> v) & 1:
-                code |= 1 << i
-        if code in codes:
-            return frozenset(subset)
-    return None
+    return frozenset(hit) if hit else None
 
 
 # -- chromatic number ---------------------------------------------------------

@@ -14,7 +14,12 @@ diameter functions:
   from every member of the component, with dict distances and a member set;
 - ``contains_induced`` is the earlier forbidden-pattern scan: each subset
   with the pattern's edge count and degree sequence is matched against every
-  permutation of the pattern (``induces_pattern``);
+  permutation of the pattern (``induces_pattern``), so it returns the
+  lexicographically first witness set;
+- ``_find_induced_cycle`` is the earlier hole search, one recursion level
+  per path vertex, behind ``find_hole``, ``find_antihole`` and
+  ``is_co_chordal`` before they shared the library's iterative
+  chordless-path search;
 - ``is_co_chordal`` is the earlier (2K2, antihole) route to co-chordality,
   the library's dual of testing the complement for an induced cycle of
   length >= 4;
@@ -62,7 +67,6 @@ from recolouring.recognition import (
     TwoPair,
     _make_two_pair,
     chromatic_number,
-    find_antihole,
     find_two_pairs,
 )
 from recolouring.recolour import (
@@ -291,6 +295,39 @@ def component_diameter(r: ReconfigGraph, members: List[int]) -> int:
     return best
 
 
+def _find_induced_cycle(g: Graph, min_len: int) -> Optional[Tuple[int, ...]]:
+    """Least induced cycle of length >= min_len under ascending-id DFS, if any.
+
+    Paths are grown with the cycle's smallest vertex first, so the search is
+    deterministic and each cycle is considered from a canonical rotation.
+    """
+
+    def extend(v0: int, path: List[int], used: int) -> Optional[Tuple[int, ...]]:
+        last = path[-1]
+        interior = used & ~(1 << v0) & ~(1 << last)
+        for w in bits(g.adj[last] & ~used):
+            if w < v0:
+                continue  # v0 is canonically the smallest cycle vertex
+            if g.adj[w] & interior:
+                continue
+            if len(path) >= 2 and (g.adj[w] >> v0) & 1:
+                if len(path) + 1 >= min_len:
+                    return tuple(path) + (w,)
+                continue  # closing now is too short; extending adds a chord
+            path.append(w)
+            hit = extend(v0, path, used | (1 << w))
+            if hit:
+                return hit
+            path.pop()
+        return None
+
+    for v0 in range(g.n):
+        hit = extend(v0, [v0], 1 << v0)
+        if hit:
+            return hit
+    return None
+
+
 def named_patterns() -> Dict[str, Graph]:
     return {
         "p5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
@@ -338,7 +375,10 @@ def contains_induced(g: Graph, pattern: str) -> Optional[frozenset]:
 
 def is_co_chordal(g: Graph) -> bool:
     """(2K2, antihole)-free."""
-    return contains_induced(g, "2k2") is None and find_antihole(g) is None
+    return (
+        contains_induced(g, "2k2") is None
+        and _find_induced_cycle(complement(g), 5) is None
+    )
 
 
 def has_long_chordless_path(g: Graph, x: int, y: int) -> bool:

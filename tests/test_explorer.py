@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,7 +15,7 @@ from recolouring import (
     summarize,
 )
 
-from conftest import small_graphs
+from conftest import all_labelled_graphs, small_graphs
 from oracles import find_frozen_colourings
 
 
@@ -30,6 +32,28 @@ def chromatic_poly_complete(n, k):
     for i in range(n):
         out *= k - i
     return max(out, 0)
+
+
+def edge_list_is_proper(g, c):
+    """The edge-list definition: one colour in range per vertex, and two
+    colours on every edge of g.edges()."""
+    a = c.assignment
+    if len(a) != g.n or any(not 0 <= x < c.k for x in a):
+        return False
+    return all(a[u] != a[v] for u, v in g.edges())
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_is_proper_matches_edge_list_reference(n):
+    for g in all_labelled_graphs(n):
+        for k in range(4):
+            # colours -1 and k are out of range
+            for a in itertools.product(range(-1, k + 1), repeat=n):
+                c = Colouring(a, k)
+                assert is_proper(g, c) == edge_list_is_proper(g, c), (g.edges(), a, k)
+            for length in (n - 1, n + 1):
+                if length >= 0:
+                    assert not is_proper(g, Colouring((0,) * length, max(k, 1)))
 
 
 def test_enumeration_counts():
