@@ -59,7 +59,6 @@ from .recolour import (
     PairRemoval,
     PaletteError,
     RecolourSequence,
-    RecolourStep,
     TriangleRemoval,
     bfs_distance,
     certified_chromatic_number,

@@ -27,7 +27,6 @@ from .generators import generate_gk, generate_named, random_cochordal, random_gr
 from .graph import Graph
 from .io import GraphFormatError, graph_to_json_obj, load_graph, to_dot
 from .recognition import (
-    ChromaticBoundExceeded,
     chromatic_number,
     contains_induced,
     find_two_pairs,
@@ -40,7 +39,6 @@ from .recolour import (
     CompleteBase,
     PairRemoval,
     RecolourSequence,
-    RecolourStep,
     TriangleRemoval,
     find_elimination_certificate,
     recolour_compact,
@@ -234,13 +232,13 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
     }
     if args.frozen:
         report["frozen_colourings"] = [
-            list(r.nodes[i].assignment) for i in summary.frozen_colouring_indices
+            list(r.nodes[i]) for i in summary.frozen_colouring_indices
         ]
     if args.dump_dot:
         if r.node_count() > 10_000:
             raise CapacityError("refusing to dump DOT for more than 10000 nodes")
         edges = [(i, j) for i, row in enumerate(r.adjacency) for j in row if i < j]
-        labels = {i: "".join(map(str, c.assignment)) for i, c in enumerate(r.nodes)}
+        labels = {i: "".join(map(str, a)) for i, a in enumerate(r.nodes)}
         dot = to_dot(Graph(r.node_count(), edges, labels=labels), f"R{args.k}")
         _write(dot, args.dump_dot)
     _emit(report, args.out)
@@ -250,7 +248,7 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
 def _sequence_to_obj(seq: RecolourSequence) -> Dict[str, Any]:
     return {
         "start": list(seq.start.assignment),
-        "steps": [[s.vertex, s.new_colour] for s in seq.steps],
+        "steps": seq.steps,
         "end": list(seq.end.assignment),
     }
 
@@ -281,9 +279,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     colours = set(start_list) | set(obj["end"]) | {c for _, c in obj["steps"]}
     k = args.k if args.k is not None else (max(colours) + 1 if colours else 0)
     seq = RecolourSequence(
-        Colouring(tuple(start_list), k),
-        [RecolourStep(v, c) for v, c in obj["steps"]],
-        Colouring(tuple(obj["end"]), k),
+        Colouring(tuple(start_list), k), obj["steps"], Colouring(tuple(obj["end"]), k)
     )
     rep = validate_sequence(g, seq)
     counts = rep.per_vertex_counts
@@ -411,7 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CapacityError, GraphFormatError, ChromaticBoundExceeded, OSError) as exc:
+    except (ValueError, CapacityError, GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .graph import Graph, bits
@@ -43,8 +42,10 @@ def is_proper(g: Graph, c: Colouring) -> bool:
     return not any(g.adj[v] & classes[x] for v, x in enumerate(a))
 
 
-def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_CAP) -> List[Colouring]:
-    """All proper k-colourings in lexicographic order of assignment arrays.
+def enumerate_colourings(
+    g: Graph, k: int, cap: int = DEFAULT_CAP
+) -> List[Tuple[int, ...]]:
+    """All proper k-colourings, as assignment tuples in lexicographic order.
 
     Depth-first on an explicit stack of (vertex, colour) choices: entering a
     vertex pushes its free colours, highest first, so they pop in ascending
@@ -53,7 +54,7 @@ def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_CAP) -> List[Colou
         raise ValueError("palette size must be non-negative")
     n = g.n
     lower = [[u for u in bits(g.adj[v]) if u < v] for v in range(n)]
-    out: List[Colouring] = []
+    out: List[Tuple[int, ...]] = []
     assign = [0] * n
     stack: List[Tuple[int, int]] = []
     i = 0  # the vertex to enter next
@@ -63,7 +64,7 @@ def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_CAP) -> List[Colou
                 raise CapacityError(
                     f"more than {cap} proper {k}-colourings; raise the cap"
                 )
-            out.append(Colouring(tuple(assign), k))
+            out.append(tuple(assign))
         else:
             taken = {assign[u] for u in lower[i]}
             stack.extend([(i, c) for c in range(k - 1, -1, -1) if c not in taken])
@@ -79,7 +80,7 @@ class ReconfigGraph:
     """The reconfiguration graph over the enumerated colourings."""
 
     palette: int
-    nodes: List[Colouring]
+    nodes: List[Tuple[int, ...]]
     adjacency: List[List[int]]
     components: List[List[int]] = field(default_factory=list)
 
@@ -106,11 +107,10 @@ def build_reconfiguration_graph(
     g: Graph, k: int, cap: int = DEFAULT_CAP
 ) -> ReconfigGraph:
     nodes = enumerate_colourings(g, k, cap=cap)
-    index = {c.assignment: i for i, c in enumerate(nodes)}
+    index = {a: i for i, a in enumerate(nodes)}
     nbrs = [list(bits(g.adj[v])) for v in range(g.n)]
     adjacency = [
-        sorted([index[b] for b in neighbour_assignments(c.assignment, nbrs, k)])
-        for c in nodes
+        sorted([index[b] for b in neighbour_assignments(a, nbrs, k)]) for a in nodes
     ]
     dist = [-1] * len(nodes)  # set once a node is placed in a component
     components = [
@@ -139,12 +139,11 @@ def _canonical_nodes(r: ReconfigGraph) -> List[int]:
     order of first use.  The canonical colouring uses no more colours than
     the original, so it is always a node of ``r``, found by bisection in the
     lexicographic node order."""
-    key = attrgetter("assignment")
     out = []
-    for c in r.nodes:
+    for a in r.nodes:
         rename: Dict[int, int] = {}
-        canonical = tuple(rename.setdefault(x, len(rename)) for x in c.assignment)
-        out.append(bisect_left(r.nodes, canonical, key=key))
+        canonical = tuple(rename.setdefault(x, len(rename)) for x in a)
+        out.append(bisect_left(r.nodes, canonical))
     return out
 
 

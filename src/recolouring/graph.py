@@ -107,12 +107,10 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """The graph with edge {u,v} exactly when g has none; labels preserved."""
-    edges = [
-        (u, v)
-        for u, v in combinations(range(g.n), 2)
-        if not g.has_edge(u, v)
-    ]
-    return Graph(g.n, edges, labels=g.labels)
+    out = Graph(g.n, labels=g.labels)
+    full = g.full_mask
+    out.adj = [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)]
+    return out
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:

@@ -100,11 +100,15 @@ def _chordless(
     the cycle's least vertex: only vertices above it are used, it is excluded
     from that rule, and a neighbour of it closes the cycle.  While a close
     would still be too short, the start's neighbours leave the candidates,
-    since extending through one would add a chord.  The search runs on an
-    explicit stack of candidate bitmasks, so any path length works.
+    since extending through one would add a chord.  A start with fewer than
+    two neighbours above it is skipped: it cannot be the least vertex of a
+    cycle.  The search runs on an explicit stack of candidate bitmasks, so
+    any path length works.
     """
     for start in range(len(adj)):
         above = -1 << (start + 1) if cycle else -1
+        if cycle and (adj[start] & above).bit_count() < 2:
+            continue
         ring = adj[start] if cycle else 0  # the vertices that close a cycle
         path = [start]
         barred = [0]  # per depth: closed neighbourhoods the next vertex avoids
@@ -183,10 +187,6 @@ def contains_induced(g: Graph, pattern: str) -> Optional[frozenset]:
 # -- chromatic number ---------------------------------------------------------
 
 
-class ChromaticBoundExceeded(ValueError):
-    """No proper colouring exists within the given upper bound."""
-
-
 def find_k_colouring(g: Graph, k: int) -> Optional[Tuple[int, ...]]:
     """A proper k-colouring via saturation-ordered backtracking, or None.
 
@@ -242,20 +242,12 @@ def find_k_colouring(g: Graph, k: int) -> Optional[Tuple[int, ...]]:
         c += 1
 
 
-def chromatic_number(g: Graph, upper_bound: Optional[int] = None) -> int:
-    """Least k admitting a proper k-colouring; exact backtracking search."""
+def chromatic_number(g: Graph) -> int:
+    """Least k admitting a proper k-colouring; exact backtracking search.
+    k = n always admits one."""
     if g.n == 0:
         return 0
-    if upper_bound is None:
-        upper_bound = g.n
-    if upper_bound < 1:
-        raise ValueError("upper_bound must be >= 1")
-    for k in range(1, upper_bound + 1):
-        if find_k_colouring(g, k) is not None:
-            return k
-    raise ChromaticBoundExceeded(
-        f"graph is not {upper_bound}-colourable; raise the bound"
-    )
+    return next(k for k in range(1, g.n + 1) if find_k_colouring(g, k) is not None)
 
 
 # -- compactness --------------------------------------------------------------

@@ -27,16 +27,13 @@ class CertificateError(ValueError):
     """A certificate's structural facts fail to replay on the host graph."""
 
 
-@dataclass(frozen=True, slots=True)
-class RecolourStep:
-    vertex: int
-    new_colour: int
-
-
 @dataclass
 class RecolourSequence:
+    """Colourings ``start`` and ``end`` and the single-vertex switches
+    between them, each a ``(vertex, colour)`` pair."""
+
     start: Colouring
-    steps: List[RecolourStep]
+    steps: List[Tuple[int, int]]
     end: Colouring
 
     def __len__(self) -> int:
@@ -44,8 +41,8 @@ class RecolourSequence:
 
     def per_vertex_counts(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
-        for s in self.steps:
-            counts[s.vertex] = counts.get(s.vertex, 0) + 1
+        for v, _ in self.steps:
+            counts[v] = counts.get(v, 0) + 1
         return counts
 
     def max_per_vertex(self) -> int:
@@ -206,7 +203,7 @@ def recolour_complete(
         if len(set(c.assignment)) != n:
             raise ValueError("colouring of a complete graph must be injective")
     cur = list(a.assignment)
-    steps: List[RecolourStep] = []
+    steps: List[Tuple[int, int]] = []
     for v in range(n):
         target = b[v]
         if cur[v] == target:
@@ -214,9 +211,9 @@ def recolour_complete(
         holder = next((u for u in range(n) if u != v and cur[u] == target), None)
         if holder is not None:
             free = next(c for c in range(palette) if c not in cur)
-            steps.append(RecolourStep(holder, free))
+            steps.append((holder, free))
             cur[holder] = free
-        steps.append(RecolourStep(v, target))
+        steps.append((v, target))
         cur[v] = target
     return RecolourSequence(a, steps, b)
 
@@ -259,17 +256,17 @@ def recolour_compact(
 
 def _complete_steps(
     verts: Tuple[int, ...], p: int, alpha: Tuple[int, ...], beta: Tuple[int, ...]
-) -> List[RecolourStep]:
+) -> List[Tuple[int, int]]:
     """recolour_complete on the clique verts, in host vertex ids."""
     sub_a = Colouring(tuple(alpha[v] for v in verts), p)
     sub_b = Colouring(tuple(beta[v] for v in verts), p)
     inner = recolour_complete(len(verts), p, sub_a, sub_b)
-    return [RecolourStep(verts[s.vertex], s.new_colour) for s in inner.steps]
+    return [(verts[v], c) for v, c in inner.steps]
 
 
 def _certificate_steps(
     cert: EliminationCertificate, p: int, alpha: Tuple[int, ...], beta: Tuple[int, ...]
-) -> List[RecolourStep]:
+) -> List[Tuple[int, int]]:
     """The steps from alpha to beta along a certificate that replays.
 
     The sequence is defined level by level: level i recolours what is left
@@ -297,7 +294,7 @@ def _certificate_steps(
         elif isinstance(ev, TriangleRemoval):
             watchers.setdefault(ev.z, []).append(i)
     cur = list(alpha)
-    out: List[RecolourStep] = []
+    out: List[Tuple[int, int]] = []
 
     def switch(v: int, c: int, level: int) -> None:
         """Pass a switch of v to c, made at ``level``, through the levels
@@ -313,7 +310,7 @@ def _certificate_steps(
             below = watchers.get(v, ())
             pos = bisect_left(below, level)
             if pos == 0:
-                out.append(RecolourStep(v, c))
+                out.append((v, c))
                 cur[v] = c
                 continue
             i = below[pos - 1]
@@ -331,8 +328,8 @@ def _certificate_steps(
     for i, ev in enumerate(levels):
         if isinstance(ev, PairRemoval) and cur[ev.x] != cur[ev.y]:
             switch(ev.x, cur[ev.y], i)
-    for s in _complete_steps(cert.events[end].remaining, p, alpha, beta):
-        switch(s.vertex, s.new_colour, end)
+    for v, c in _complete_steps(cert.events[end].remaining, p, alpha, beta):
+        switch(v, c, end)
     for i in reversed(range(end)):
         ev = levels[i]
         if isinstance(ev, PairRemoval):
@@ -347,8 +344,8 @@ def _certificate_steps(
             if cur[w] != beta[w]:
                 switch(w, beta[w], i)
         else:
-            for s in _complete_steps(ev.vertices, p, alpha, beta):
-                switch(s.vertex, s.new_colour, i)
+            for v, c in _complete_steps(ev.vertices, p, alpha, beta):
+                switch(v, c, i)
     return out
 
 
@@ -377,8 +374,7 @@ def validate_sequence(g: Graph, s: RecolourSequence) -> ValidationReport:
     if not is_proper(g, s.start):
         return fail("start colouring is not proper")
     cur = list(s.start.assignment)
-    for i, step in enumerate(s.steps):
-        v, c = step.vertex, step.new_colour
+    for i, (v, c) in enumerate(s.steps):
         if not 0 <= v < g.n:
             return fail(f"step {i}: vertex {v} out of range", i)
         if not 0 <= c < k:

@@ -36,13 +36,18 @@ diameter functions:
   one recursion level per coloured vertex;
 - ``find_frozen_colourings`` (with ``FrozenSearchResult``) is the budgeted
   backtracking search for frozen colourings that ``generate_gk`` ran before
-  its frozen colouring had a closed form.
+  its frozen colouring had a closed form;
+- ``complement`` is the earlier complement, built from a loop over all
+  vertex pairs; the oracles here use it in place of the library's.
+
+``RecolourStep`` is the library's earlier step object, kept here as a
+namedtuple: it compares equal to the library's ``(vertex, colour)`` pairs.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple
@@ -57,7 +62,6 @@ from recolouring.explorer import (
 from recolouring.graph import (
     Graph,
     bits,
-    complement,
     component_mask,
     induced_subgraph,
     is_clique,
@@ -78,11 +82,22 @@ from recolouring.recolour import (
     PairRemoval,
     PaletteError,
     RecolourSequence,
-    RecolourStep,
     TriangleRemoval,
     _least_colour_outside,
     recolour_complete,
 )
+
+RecolourStep = namedtuple("RecolourStep", "vertex new_colour")
+
+
+def complement(g: Graph) -> Graph:
+    """The graph with edge {u,v} exactly when g has none; labels preserved."""
+    edges = [
+        (u, v)
+        for u, v in combinations(range(g.n), 2)
+        if not g.has_edge(u, v)
+    ]
+    return Graph(g.n, edges, labels=g.labels)
 
 
 def qualifying_two_pair(g: Graph) -> Optional[Tuple[TwoPair, str]]:
@@ -182,7 +197,7 @@ def recolour_compact_recursive(
             sub_a = Colouring(tuple(alpha[v] for v in remaining), p)
             sub_b = Colouring(tuple(beta[v] for v in remaining), p)
             inner = recolour_complete(m, p, sub_a, sub_b)
-            return [RecolourStep(remaining[s.vertex], s.new_colour) for s in inner.steps]
+            return [RecolourStep(remaining[v], c) for v, c in inner.steps]
 
         if isinstance(ev, PairRemoval):
             x, y = ev.x, ev.y
@@ -269,9 +284,7 @@ def recolour_compact_recursive(
             sub_a = Colouring(tuple(alpha[v] for v in verts), p)
             sub_b = Colouring(tuple(beta[v] for v in verts), p)
             comp = recolour_complete(len(verts), p, sub_a, sub_b)
-            return inner + [
-                RecolourStep(verts[s.vertex], s.new_colour) for s in comp.steps
-            ]
+            return inner + [RecolourStep(verts[v], c) for v, c in comp.steps]
 
         raise CertificateError(f"unknown certificate event {ev!r}")
 

@@ -224,8 +224,8 @@ def test_certified_recolouring_bounds_on_random_instances():
         instances += 1
         if summarize(r, compute_diameters=False).component_count != 1:
             disconnected += 1
-        a = rng.choice(r.nodes)
-        b = rng.choice(r.nodes)
+        a = Colouring(rng.choice(r.nodes), p)
+        b = Colouring(rng.choice(r.nodes), p)
         seq = recolour_compact(g, cert, a, b)
         rep = validate_sequence(g, seq)
         dist = bfs_distance(g, p, a, b)
@@ -252,7 +252,7 @@ def test_complete_graph_base_case_all_pairs():
     for n in range(1, 6):
         p = n + 1
         kn = generate_named("complete", n)
-        cols = enumerate_colourings(kn, p)
+        cols = [Colouring(a, p) for a in enumerate_colourings(kn, p)]
         r = build_reconfiguration_graph(kn, p)
         assert summarize(r, compute_diameters=False).component_count == 1
         for a in cols:

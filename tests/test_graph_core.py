@@ -14,7 +14,8 @@ from recolouring import (
 )
 from recolouring.graph import component_mask
 
-from conftest import brute_isomorphic, small_graphs
+import oracles
+from conftest import all_labelled_graphs, brute_isomorphic, small_graphs
 from oracles import has_long_chordless_path
 
 
@@ -41,6 +42,17 @@ def test_complement_of_k3_is_empty():
 def test_complement_involution_on_c5():
     c5 = generate_named("cycle", 5)
     assert complement(complement(c5)) == c5
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_complement_matches_pair_loop_reference(n):
+    # the row masks must give the pair loop's edges and keep its labels
+    labels = {v: f"v{v}" for v in range(0, n, 2)}
+    for h in all_labelled_graphs(n):
+        g = Graph(n, h.edges(), labels=labels)
+        got, want = complement(g), oracles.complement(g)
+        assert (got.n, got.adj, got.labels) == (want.n, want.adj, want.labels)
+        assert got.labels == labels
 
 
 def test_c5_self_complementary():

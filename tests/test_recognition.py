@@ -20,7 +20,6 @@ from recolouring import (
     qualifying_two_pair,
     two_pair_via_anticonnected_set,
 )
-from recolouring.recognition import ChromaticBoundExceeded
 from recolouring.graph import induced_subgraph
 
 import oracles
@@ -143,10 +142,6 @@ def test_chromatic_number():
     assert chromatic_number(generate_named("complete", 4)) == 4
     assert chromatic_number(Graph(0)) == 0
     assert chromatic_number(Graph(3)) == 1
-    with pytest.raises(ChromaticBoundExceeded):
-        chromatic_number(generate_named("complete", 4), upper_bound=3)
-    with pytest.raises(ValueError):
-        chromatic_number(Graph(2, [(0, 1)]), upper_bound=0)
 
 
 def test_chromatic_number_of_gk_family():

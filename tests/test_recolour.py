@@ -16,7 +16,6 @@ from recolouring import (
     PairRemoval,
     PaletteError,
     RecolourSequence,
-    RecolourStep,
     TriangleRemoval,
     bfs_distance,
     enumerate_colourings,
@@ -55,7 +54,7 @@ def test_recolour_complete_rejects_improper_input():
 def test_recolour_complete_all_pairs(n):
     kn = generate_named("complete", n)
     p = n + 1
-    cols = enumerate_colourings(kn, p)
+    cols = [Colouring(a, p) for a in enumerate_colourings(kn, p)]
     rng = random.Random(7)
     sample = rng.sample(list(itertools.product(cols, cols)), min(60, len(cols) ** 2))
     for a, b in sample:
@@ -97,7 +96,7 @@ def test_certificate_existence_matches_compactness_bruteforce():
 def exhaustive_recolour_check(g, p, sample=None, seed=0):
     cert = find_elimination_certificate(g)
     assert cert is not None
-    cols = enumerate_colourings(g, p)
+    cols = [Colouring(a, p) for a in enumerate_colourings(g, p)]
     pairs = list(itertools.product(cols, cols))
     if sample is not None and len(pairs) > sample:
         pairs = random.Random(seed).sample(pairs, sample)
@@ -206,7 +205,7 @@ def test_recolour_compact_random_pairs(g):
     from recolouring import chromatic_number
 
     p = max(chromatic_number(g) + 1, 4)
-    cols = enumerate_colourings(g, p, cap=200_000)
+    cols = [Colouring(a, p) for a in enumerate_colourings(g, p, cap=200_000)]
     rng = random.Random(11)
     for _ in range(5):
         a, b = rng.choice(cols), rng.choice(cols)
@@ -222,22 +221,22 @@ def test_validate_sequence_flags_violations():
     def seq(steps, end):
         return RecolourSequence(a, steps, end)
 
-    bad_clash = seq([RecolourStep(0, 1)], Colouring((1, 1, 0), 3))
+    bad_clash = seq([(0, 1)], Colouring((1, 1, 0), 3))
     rep = validate_sequence(g, bad_clash)
     assert not rep.ok and rep.error_index == 0
     assert "clashes" in rep.message
 
-    noop = seq([RecolourStep(0, 0)], a)
+    noop = seq([(0, 0)], a)
     assert not validate_sequence(g, noop).ok
 
-    out_of_palette = seq([RecolourStep(0, 3)], a)
+    out_of_palette = seq([(0, 3)], a)
     assert not validate_sequence(g, out_of_palette).ok
 
-    wrong_end = seq([RecolourStep(0, 2)], Colouring((0, 1, 0), 3))
+    wrong_end = seq([(0, 2)], Colouring((0, 1, 0), 3))
     rep = validate_sequence(g, wrong_end)
     assert not rep.ok and "end colouring" in rep.message
 
-    good = seq([RecolourStep(0, 2)], Colouring((2, 1, 0), 3))
+    good = seq([(0, 2)], Colouring((2, 1, 0), 3))
     rep = validate_sequence(g, good)
     assert rep.ok and rep.total_steps == 1 and rep.per_vertex_counts == {0: 1}
 
