@@ -11,6 +11,7 @@ from .explorer import (
     ExplorationSummary,
     ReconfigGraph,
     build_reconfiguration_graph,
+    decode,
     enumerate_colourings,
     is_frozen,
     is_proper,

@@ -232,13 +232,15 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
     }
     if args.frozen:
         report["frozen_colourings"] = [
-            list(r.nodes[i]) for i in summary.frozen_colouring_indices
+            list(r.assignment(i)) for i in summary.frozen_colouring_indices
         ]
     if args.dump_dot:
         if r.node_count() > 10_000:
             raise CapacityError("refusing to dump DOT for more than 10000 nodes")
         edges = [(i, j) for i, row in enumerate(r.adjacency) for j in row if i < j]
-        labels = {i: "".join(map(str, a)) for i, a in enumerate(r.nodes)}
+        labels = {
+            i: "".join(map(str, r.assignment(i))) for i in range(r.node_count())
+        }
         dot = to_dot(Graph(r.node_count(), edges, labels=labels), f"R{args.k}")
         _write(dot, args.dump_dot)
     _emit(report, args.out)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import Graph, bits
 
@@ -42,81 +42,114 @@ def is_proper(g: Graph, c: Colouring) -> bool:
     return not any(g.adj[v] & classes[x] for v, x in enumerate(a))
 
 
-def enumerate_colourings(
-    g: Graph, k: int, cap: int = DEFAULT_CAP
-) -> List[Tuple[int, ...]]:
-    """All proper k-colourings, as assignment tuples in lexicographic order.
+def encode(a: Sequence[int], k: int) -> int:
+    """The mixed-radix code of an assignment: base-k digits with vertex 0
+    the most significant, so ascending codes are in lexicographic order."""
+    code = 0
+    for x in a:
+        code = code * k + x
+    return code
 
-    Depth-first on an explicit stack of (vertex, colour) choices: entering a
-    vertex pushes its free colours, highest first, so they pop in ascending
-    order."""
+
+def decode(code: int, n: int, k: int) -> Tuple[int, ...]:
+    """The assignment of ``n`` vertices whose mixed-radix code is ``code``."""
+    a = [0] * n
+    for v in range(n - 1, -1, -1):
+        code, a[v] = divmod(code, k)
+    return tuple(a)
+
+
+def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_CAP) -> List[int]:
+    """All proper k-colourings, as ascending mixed-radix codes (see
+    ``encode``), that is in lexicographic order of their assignments.
+
+    Depth-first with one frame per vertex: its current colour and the
+    colours of its lower neighbours, taken on entry.  Entering a vertex and
+    backtracking into it both move its colour on to the next free one, so
+    memory does not grow with k."""
     if k < 0:
         raise ValueError("palette size must be non-negative")
     n = g.n
     lower = [[u for u in bits(g.adj[v]) if u < v] for v in range(n)]
-    out: List[Tuple[int, ...]] = []
-    assign = [0] * n
-    stack: List[Tuple[int, int]] = []
-    i = 0  # the vertex to enter next
-    while True:
-        if i == n:
+    out: List[int] = []
+    assign = [-1] * n  # -1 until the vertex is entered
+    taken: List[Set[int]] = [set()] * n  # replaced on entry to each vertex
+    prefix = [0] * (n + 1)  # prefix[v]: the code of the colours of vertices < v
+    v = 0
+    while v >= 0:
+        if v == n:
             if len(out) >= cap:
                 raise CapacityError(
                     f"more than {cap} proper {k}-colourings; raise the cap"
                 )
-            out.append(tuple(assign))
+            out.append(prefix[n])
+            v -= 1
+            continue
+        c = assign[v] + 1
+        if not c:
+            taken[v] = {assign[u] for u in lower[v]}
+        while c in taken[v]:
+            c += 1
+        if c < k:
+            assign[v] = c
+            prefix[v + 1] = prefix[v] * k + c
+            v += 1
         else:
-            taken = {assign[u] for u in lower[i]}
-            stack.extend([(i, c) for c in range(k - 1, -1, -1) if c not in taken])
-        if not stack:
-            return out
-        v, c = stack.pop()
-        assign[v] = c
-        i = v + 1
+            assign[v] = -1
+            v -= 1
+    return out
 
 
 @dataclass
 class ReconfigGraph:
-    """The reconfiguration graph over the enumerated colourings."""
+    """The reconfiguration graph over the enumerated colourings of an
+    n-vertex graph: node i is the colouring with code ``nodes[i]``."""
 
+    n: int
     palette: int
-    nodes: List[Tuple[int, ...]]
+    nodes: List[int]
     adjacency: List[List[int]]
     components: List[List[int]] = field(default_factory=list)
 
     def node_count(self) -> int:
         return len(self.nodes)
 
-
-def neighbour_assignments(
-    a: Tuple[int, ...], nbrs: List[List[int]], k: int
-) -> List[Tuple[int, ...]]:
-    """The neighbours of the proper colouring ``a`` in R_k: ``a`` with one
-    vertex v switched to a colour that neither v nor any of ``nbrs[v]`` has."""
-    out = []
-    for v in range(len(a)):
-        forbidden = {a[u] for u in nbrs[v]}
-        for col in range(k):
-            if col == a[v] or col in forbidden:
-                continue
-            out.append(a[:v] + (col,) + a[v + 1 :])
-    return out
+    def assignment(self, i: int) -> Tuple[int, ...]:
+        """The colouring of node i, as an assignment tuple."""
+        return decode(self.nodes[i], self.n, self.palette)
 
 
 def build_reconfiguration_graph(
     g: Graph, k: int, cap: int = DEFAULT_CAP
 ) -> ReconfigGraph:
+    """R_k(G) with sorted adjacency rows.  Each node links to its lower
+    neighbours, a vertex v switched from colour x to a free colour below x,
+    whose code is ``k**(n-1-v)`` times the drop lower.  Those come out in
+    ascending order, and a node's higher neighbours are appended after them
+    in ascending order, so no row needs sorting."""
+    n = g.n
     nodes = enumerate_colourings(g, k, cap=cap)
-    index = {a: i for i, a in enumerate(nodes)}
-    nbrs = [list(bits(g.adj[v])) for v in range(g.n)]
-    adjacency = [
-        sorted([index[b] for b in neighbour_assignments(a, nbrs, k)]) for a in nodes
-    ]
+    # every row holding node j shares the index's one int object for j
+    index = dict(zip(nodes, range(len(nodes))))
+    nbrs_weight = [(list(bits(g.adj[v])), k ** (n - 1 - v)) for v in range(n)]
+    adjacency: List[List[int]] = [[] for _ in nodes]
+    for code in nodes:
+        j = index[code]
+        a = decode(code, n, k)
+        row = adjacency[j]
+        for x, (nbrs, weight) in zip(a, nbrs_weight):
+            if x:
+                taken = [a[u] for u in nbrs]
+                for col in range(x):
+                    if col not in taken:
+                        i = index[code - (x - col) * weight]
+                        row.append(i)
+                        adjacency[i].append(j)
     dist = [-1] * len(nodes)  # set once a node is placed in a component
     components = [
         sorted(_bfs_order(adjacency, s, dist)) for s in range(len(nodes)) if dist[s] < 0
     ]
-    return ReconfigGraph(k, nodes, adjacency, components)
+    return ReconfigGraph(n, k, nodes, adjacency, components)
 
 
 @dataclass
@@ -138,12 +171,12 @@ def _canonical_nodes(r: ReconfigGraph) -> List[int]:
     """Map each node to the node of its colouring with colours renamed in
     order of first use.  The canonical colouring uses no more colours than
     the original, so it is always a node of ``r``, found by bisection in the
-    lexicographic node order."""
+    ascending codes."""
     out = []
-    for a in r.nodes:
+    for i in range(r.node_count()):
         rename: Dict[int, int] = {}
-        canonical = tuple(rename.setdefault(x, len(rename)) for x in a)
-        out.append(bisect_left(r.nodes, canonical))
+        canonical = [rename.setdefault(x, len(rename)) for x in r.assignment(i)]
+        out.append(bisect_left(r.nodes, encode(canonical, r.palette)))
     return out
 
 

@@ -12,8 +12,9 @@ from .explorer import (
     DEFAULT_CAP,
     CapacityError,
     Colouring,
+    decode,
+    encode,
     is_proper,
-    neighbour_assignments,
 )
 from .graph import Graph, bits, is_clique_mask
 from .recognition import qualifying_pair_in
@@ -393,33 +394,46 @@ def validate_sequence(g: Graph, s: RecolourSequence) -> ValidationReport:
 def bfs_distance(g: Graph, k: int, a: Colouring, b: Colouring) -> Optional[int]:
     """Exact distance between a and b in R_k(G); None if disconnected.
 
-    A level-by-level BFS from a over assignment tuples that builds no part of
-    R_k beyond the colourings it reaches.  Raises CapacityError once it has
-    seen more than DEFAULT_CAP colourings."""
+    A bidirectional BFS over mixed-radix codes that builds no part of R_k
+    beyond the colourings it reaches: it expands the smaller frontier one
+    whole level at a time and stops at the first level where the two
+    searches meet.  Raises CapacityError once the two searches together hold
+    more than DEFAULT_CAP colourings, at about 85 B each."""
     for c in (a, b):
         if not is_proper(g, Colouring(c.assignment, k)):
             raise ValueError("colouring is not a node of the reconfiguration graph")
-    src, dst = a.assignment, b.assignment
+    n = g.n
+    src, dst = encode(a.assignment, k), encode(b.assignment, k)
     if src == dst:
         return 0
-    nbrs = [list(bits(g.adj[v])) for v in range(g.n)]
-    seen = {src}
-    frontier = [src]
-    depth = 0
-    while frontier:
-        depth += 1
+    nbrs_weight = [(list(bits(g.adj[v])), k ** (n - 1 - v)) for v in range(n)]
+    depths: List[Dict[int, int]] = [{src: 0}, {dst: 0}]  # code -> depth, per side
+    frontiers = [[src], [dst]]
+    levels = [0, 0]  # the depth of each side's frontier
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = depths[side], depths[1 - side]
+        levels[side] += 1
+        depth = levels[side]
         nxt = []
-        for u in frontier:
-            for w in neighbour_assignments(u, nbrs, k):
-                if w not in seen:
-                    if w == dst:
-                        return depth
-                    seen.add(w)
-                    nxt.append(w)
-            if len(seen) > DEFAULT_CAP:
+        for code in frontiers[side]:
+            cur = decode(code, n, k)
+            for x, (nbrs, weight) in zip(cur, nbrs_weight):
+                taken = [cur[u] for u in nbrs]
+                for col in range(k):
+                    if col == x or col in taken:
+                        continue
+                    nb = code + (col - x) * weight
+                    if nb in mine:
+                        continue
+                    if nb in other:
+                        return depth + other[nb]
+                    mine[nb] = depth
+                    nxt.append(nb)
+            if len(mine) + len(other) > DEFAULT_CAP:
                 raise CapacityError(
                     f"bfs_distance reached more than {DEFAULT_CAP} proper "
                     f"{k}-colourings"
                 )
-        frontier = nxt
+        frontiers[side] = nxt
     return None

@@ -32,6 +32,10 @@ diameter functions:
   a deque BFS per component, returned as an ``IndexedReconfigGraph``;
 - ``bfs_distance`` is the earlier distance in R_k: it builds all of R_k (or
   takes a built one) and runs a dict BFS on it;
+- ``neighbour_assignments`` is the earlier edge rule of R_k on assignment
+  tuples, and ``implicit_bfs_distance`` the one-directional BFS over
+  assignment tuples that replaced ``bfs_distance`` before the library's
+  search became bidirectional over mixed-radix codes;
 - ``find_k_colouring`` is the earlier saturation-ordered colouring search,
   one recursion level per coloured vertex;
 - ``find_frozen_colourings`` (with ``FrozenSearchResult``) is the budgeted
@@ -528,6 +532,58 @@ def bfs_distance(
                 if wnode == dst:
                     return dist[wnode]
                 queue.append(wnode)
+    return None
+
+
+def neighbour_assignments(
+    a: Tuple[int, ...], nbrs: List[List[int]], k: int
+) -> List[Tuple[int, ...]]:
+    """The neighbours of the proper colouring ``a`` in R_k: ``a`` with one
+    vertex v switched to a colour that neither v nor any of ``nbrs[v]`` has."""
+    out = []
+    for v in range(len(a)):
+        forbidden = {a[u] for u in nbrs[v]}
+        for col in range(k):
+            if col == a[v] or col in forbidden:
+                continue
+            out.append(a[:v] + (col,) + a[v + 1 :])
+    return out
+
+
+def implicit_bfs_distance(
+    g: Graph, k: int, a: Colouring, b: Colouring
+) -> Optional[int]:
+    """Exact distance between a and b in R_k(G); None if disconnected.
+
+    A level-by-level BFS from a over assignment tuples that builds no part of
+    R_k beyond the colourings it reaches.  Raises CapacityError once it has
+    seen more than DEFAULT_CAP colourings."""
+    for c in (a, b):
+        if not is_proper(g, Colouring(c.assignment, k)):
+            raise ValueError("colouring is not a node of the reconfiguration graph")
+    src, dst = a.assignment, b.assignment
+    if src == dst:
+        return 0
+    nbrs = [list(bits(g.adj[v])) for v in range(g.n)]
+    seen = {src}
+    frontier = [src]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in neighbour_assignments(u, nbrs, k):
+                if w not in seen:
+                    if w == dst:
+                        return depth
+                    seen.add(w)
+                    nxt.append(w)
+            if len(seen) > DEFAULT_CAP:
+                raise CapacityError(
+                    f"bfs_distance reached more than {DEFAULT_CAP} proper "
+                    f"{k}-colourings"
+                )
+        frontier = nxt
     return None
 
 

@@ -17,6 +17,7 @@ from recolouring import (
     build_reconfiguration_graph,
     chromatic_number,
     contains_induced,
+    decode,
     enumerate_colourings,
     find_elimination_certificate,
     find_k_colouring,
@@ -224,8 +225,8 @@ def test_certified_recolouring_bounds_on_random_instances():
         instances += 1
         if summarize(r, compute_diameters=False).component_count != 1:
             disconnected += 1
-        a = Colouring(rng.choice(r.nodes), p)
-        b = Colouring(rng.choice(r.nodes), p)
+        a = Colouring(decode(rng.choice(r.nodes), g.n, p), p)
+        b = Colouring(decode(rng.choice(r.nodes), g.n, p), p)
         seq = recolour_compact(g, cert, a, b)
         rep = validate_sequence(g, seq)
         dist = bfs_distance(g, p, a, b)
@@ -252,7 +253,9 @@ def test_complete_graph_base_case_all_pairs():
     for n in range(1, 6):
         p = n + 1
         kn = generate_named("complete", n)
-        cols = [Colouring(a, p) for a in enumerate_colourings(kn, p)]
+        cols = [
+            Colouring(decode(code, n, p), p) for code in enumerate_colourings(kn, p)
+        ]
         r = build_reconfiguration_graph(kn, p)
         assert summarize(r, compute_diameters=False).component_count == 1
         for a in cols:

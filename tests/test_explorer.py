@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from recolouring import (
     Colouring,
     Graph,
     build_reconfiguration_graph,
+    decode,
     enumerate_colourings,
     generate_named,
     is_frozen,
@@ -64,9 +66,10 @@ def test_enumeration_counts():
 
 def test_enumeration_is_sorted_and_proper():
     g = generate_named("cycle", 4)
-    cols = enumerate_colourings(g, 3)
+    codes = enumerate_colourings(g, 3)
+    cols = [decode(code, g.n, 3) for code in codes]
     assert all(is_proper(g, Colouring(a, 3)) for a in cols)
-    assert cols == sorted(cols)
+    assert codes == sorted(codes) and cols == sorted(cols)
     assert len(set(cols)) == len(cols)
 
 
@@ -75,9 +78,20 @@ def test_enumeration_capacity_error():
         enumerate_colourings(Graph(6), 4, cap=10)
 
 
+def test_enumeration_memory_does_not_grow_with_the_palette():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="more than 100 proper"):
+            enumerate_colourings(Graph(1), 3_000_000, cap=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 def test_enumeration_of_a_long_path():
     cols = enumerate_colourings(generate_named("path", 1500), 2)
-    assert [a[:3] for a in cols] == [(0, 1, 0), (1, 0, 1)]
+    assert [decode(code, 1500, 2)[:3] for code in cols] == [(0, 1, 0), (1, 0, 1)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -120,7 +134,7 @@ def test_reconfig_edges_are_single_switches():
             diff = [
                 v
                 for v in range(g.n)
-                if r.nodes[i][v] != r.nodes[j][v]
+                if r.assignment(i)[v] != r.assignment(j)[v]
             ]
             assert len(diff) == 1
             assert i in r.adjacency[j]
@@ -153,8 +167,8 @@ def test_is_frozen_basics():
 def test_large_palette_never_frozen():
     g = generate_named("cycle", 4)
     k = 4  # max degree + 2
-    for a in enumerate_colourings(g, k):
-        assert not is_frozen(g, Colouring(a, k))
+    for code in enumerate_colourings(g, k):
+        assert not is_frozen(g, Colouring(decode(code, g.n, k), k))
 
 
 def test_frozen_search_on_g3(g3_bundle):
@@ -190,8 +204,9 @@ def test_frozen_iff_isolated(g):
     k = 3
     r = build_reconfiguration_graph(g, k)
     frozen = set(summarize(r).frozen_colouring_indices)
-    for i, a in enumerate(r.nodes):
-        assert is_frozen(g, Colouring(a, k)) == (i in frozen)
+    for i in range(r.node_count()):
+        assert is_frozen(g, Colouring(r.assignment(i), k)) == (i in frozen)
     search = find_frozen_colourings(g, k, budget_seconds=30)
     assert search.exhausted
-    assert {c.assignment for c in search.colourings} == {r.nodes[i] for i in frozen}
+    frozen_assignments = {r.assignment(i) for i in frozen}
+    assert {c.assignment for c in search.colourings} == frozen_assignments

@@ -18,6 +18,7 @@ from recolouring import (
     RecolourSequence,
     TriangleRemoval,
     bfs_distance,
+    decode,
     enumerate_colourings,
     find_elimination_certificate,
     generate_named,
@@ -54,7 +55,7 @@ def test_recolour_complete_rejects_improper_input():
 def test_recolour_complete_all_pairs(n):
     kn = generate_named("complete", n)
     p = n + 1
-    cols = [Colouring(a, p) for a in enumerate_colourings(kn, p)]
+    cols = [Colouring(decode(code, n, p), p) for code in enumerate_colourings(kn, p)]
     rng = random.Random(7)
     sample = rng.sample(list(itertools.product(cols, cols)), min(60, len(cols) ** 2))
     for a, b in sample:
@@ -96,7 +97,7 @@ def test_certificate_existence_matches_compactness_bruteforce():
 def exhaustive_recolour_check(g, p, sample=None, seed=0):
     cert = find_elimination_certificate(g)
     assert cert is not None
-    cols = [Colouring(a, p) for a in enumerate_colourings(g, p)]
+    cols = [Colouring(decode(code, g.n, p), p) for code in enumerate_colourings(g, p)]
     pairs = list(itertools.product(cols, cols))
     if sample is not None and len(pairs) > sample:
         pairs = random.Random(seed).sample(pairs, sample)
@@ -205,7 +206,10 @@ def test_recolour_compact_random_pairs(g):
     from recolouring import chromatic_number
 
     p = max(chromatic_number(g) + 1, 4)
-    cols = [Colouring(a, p) for a in enumerate_colourings(g, p, cap=200_000)]
+    cols = [
+        Colouring(decode(code, g.n, p), p)
+        for code in enumerate_colourings(g, p, cap=200_000)
+    ]
     rng = random.Random(11)
     for _ in range(5):
         a, b = rng.choice(cols), rng.choice(cols)
