@@ -214,6 +214,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 def _cmd_reconfig(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     r = build_reconfiguration_graph(g, args.k, cap=args.cap)
+    if args.dump_dot and r.node_count() > 10_000:
+        raise CapacityError("refusing to dump DOT for more than 10000 nodes")
     summary = summarize(
         r, diameter_cap=args.diameter_cap, compute_diameters=args.diameter
     )
@@ -235,8 +237,6 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
             list(r.assignment(i)) for i in summary.frozen_colouring_indices
         ]
     if args.dump_dot:
-        if r.node_count() > 10_000:
-            raise CapacityError("refusing to dump DOT for more than 10000 nodes")
         edges = [(i, j) for i, row in enumerate(r.adjacency) for j in row if i < j]
         labels = {
             i: "".join(map(str, r.assignment(i))) for i in range(r.node_count())

@@ -12,6 +12,8 @@ from .graph import Graph, bits
 
 DEFAULT_CAP = 16_000_000
 DEFAULT_DIAMETER_CAP = 50_000
+# roots per multi-source BFS sweep; each node holds a few ints this wide
+SWEEP_WIDTH = 1024
 
 
 class CapacityError(RuntimeError):
@@ -162,8 +164,9 @@ class ExplorationSummary:
     diameter_capped: List[bool]
     frozen_colouring_indices: List[int]
     diameter: Optional[int]  # overall, when connected and not capped
-    # BFS runs for the diameters: one per distinct canonical form of the
-    # members of uncapped components
+    # BFS sources for the diameters: one per distinct canonical form of the
+    # members of uncapped components, carried by ceil(sources / SWEEP_WIDTH)
+    # bit-parallel sweeps
     eccentricity_bfs_runs: int = 0
 
 
@@ -194,6 +197,54 @@ def _bfs_order(adjacency: List[List[int]], src: int, dist: List[int]) -> List[in
     return order
 
 
+def _eccentricities(adjacency: List[List[int]], roots: List[int]) -> Dict[int, int]:
+    """The eccentricity of each of the distinct nodes ``roots``, by
+    multi-source BFS (Then et al., PVLDB 8(4), 2014).
+
+    A sweep gives each of up to ``SWEEP_WIDTH`` roots one bit.  Every node
+    keeps the bits of the roots that have not reached it yet, and each
+    level ORs the bits of every frontier node into its neighbours, so one
+    pass over the frontier's edges advances all of the sweep's BFSs at
+    once.  A root's eccentricity is the last level at which its bit reached
+    a new node."""
+    ecc: Dict[int, int] = {}
+    for start in range(0, len(roots), SWEEP_WIDTH):
+        sweep = roots[start : start + SWEEP_WIDTH]
+        everyone = (1 << len(sweep)) - 1
+        unseen = [everyone] * len(adjacency)  # roots yet to reach each node
+        incoming = [0] * len(adjacency)  # bits arriving at each node this level
+        frontier = []  # (node, bits of the roots that reached it last level)
+        for b, v in enumerate(sweep):
+            unseen[v] ^= 1 << b
+            frontier.append((v, 1 << b))
+        alive = everyone  # roots whose BFS reached a node at this level
+        level = 0
+        while alive:
+            touched = []
+            for u, f in frontier:
+                for w in adjacency[u]:
+                    x = incoming[w]
+                    if x:
+                        incoming[w] = x | f
+                    else:
+                        incoming[w] = f
+                        touched.append(w)
+            frontier = []
+            reached = 0
+            for w in touched:
+                f = incoming[w] & unseen[w]
+                incoming[w] = 0
+                if f:
+                    unseen[w] ^= f
+                    frontier.append((w, f))
+                    reached |= f
+            for b in bits(alive ^ reached):  # reached is a subset of alive
+                ecc[sweep[b]] = level
+            alive = reached
+            level += 1
+    return ecc
+
+
 def summarize(
     r: ReconfigGraph,
     diameter_cap: int = DEFAULT_DIAMETER_CAP,
@@ -205,8 +256,11 @@ def summarize(
     Renaming colours is an automorphism of R_k that maps each component C
     onto a component of the same size and diameter, and it maps a node to
     one of the same eccentricity.  So diam(C) is the largest eccentricity of
-    the canonical forms of C's members, and one BFS per canonical colouring
-    serves every component.
+    the canonical forms of C's members, and one BFS source per canonical
+    colouring serves every component.  The sources share bit-parallel
+    sweeps (see ``_eccentricities``) of up to ``SWEEP_WIDTH`` sources each,
+    so memory is about three ``SWEEP_WIDTH``-bit ints per node whatever the
+    number of sources.
     """
     sizes = [len(m) for m in r.components]
     capped = [compute_diameters and s > diameter_cap for s in sizes]
@@ -215,15 +269,10 @@ def summarize(
     ecc: Dict[int, int] = {}  # canonical node -> eccentricity
     if todo:
         canonical = _canonical_nodes(r)
-        dist = [-1] * r.node_count()
+        roots = {canonical[u] for i in todo for u in r.components[i]}
+        ecc = _eccentricities(r.adjacency, sorted(roots))
         for i in todo:
-            roots = {canonical[u] for u in r.components[i]}
-            for v in roots - ecc.keys():
-                order = _bfs_order(r.adjacency, v, dist)
-                ecc[v] = dist[order[-1]]
-                for u in order:
-                    dist[u] = -1
-            diameters[i] = max(ecc[v] for v in roots)
+            diameters[i] = max(ecc[canonical[u]] for u in r.components[i])
     frozen = [i for i in range(r.node_count()) if not r.adjacency[i]]
     overall = diameters[0] if len(r.components) == 1 else None
     return ExplorationSummary(

@@ -12,6 +12,9 @@ diameter functions:
   certificate event;
 - ``component_diameter`` is the explorer's earlier exact diameter: a BFS
   from every member of the component, with dict distances and a member set;
+- ``canonical_eccentricities`` is the per-root loop that ``summarize`` ran
+  before its roots shared bit-parallel sweeps: one ``_bfs_order`` per
+  distinct canonical colouring, here over every component;
 - ``contains_induced`` is the earlier forbidden-pattern scan: each subset
   with the pattern's edge count and degree sequence is matched against every
   permutation of the pattern (``induces_pattern``), so it returns the
@@ -61,6 +64,8 @@ from recolouring.explorer import (
     CapacityError,
     Colouring,
     ReconfigGraph,
+    _bfs_order,
+    _canonical_nodes,
     is_proper,
 )
 from recolouring.graph import (
@@ -310,6 +315,22 @@ def component_diameter(r: ReconfigGraph, members: List[int]) -> int:
                     queue.append(w)
         best = max(best, max(dist.values()))
     return best
+
+
+def canonical_eccentricities(r: ReconfigGraph) -> Dict[int, int]:
+    """The eccentricity of the canonical form of every node of ``r``, keyed
+    by that canonical node: one BFS per distinct canonical root."""
+    ecc: Dict[int, int] = {}  # canonical node -> eccentricity
+    canonical = _canonical_nodes(r)
+    dist = [-1] * r.node_count()
+    for members in r.components:
+        roots = {canonical[u] for u in members}
+        for v in roots - ecc.keys():
+            order = _bfs_order(r.adjacency, v, dist)
+            ecc[v] = dist[order[-1]]
+            for u in order:
+                dist[u] = -1
+    return ecc
 
 
 def _find_induced_cycle(g: Graph, min_len: int) -> Optional[Tuple[int, ...]]:

@@ -168,6 +168,24 @@ def test_reconfig_capacity_exit_code(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+def test_reconfig_refuses_large_dot_before_diameters(tmp_path, capsys, monkeypatch):
+    # R_3(P_13) has 12,288 nodes, over the DOT limit of 10,000
+    n = 13
+    path = write_json(
+        tmp_path / "p.json", {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    )
+    dot = tmp_path / "r.dot"
+    summarized = []
+    monkeypatch.setattr(
+        recolouring.cli, "summarize", lambda *args, **kwargs: summarized.append(args)
+    )
+    code = main(["reconfig", path, "--k", "3", "--diameter", "--dump-dot", str(dot)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: refusing to dump DOT for more than 10000 nodes\n"
+    assert summarized == [] and not dot.exists()
+
+
 def test_reconfig_long_path(tmp_path, capsys, schema_validator):
     # R_2(P_1500): two frozen colourings; the enumeration once recursed per
     # vertex and overflowed the recursion limit

@@ -1,10 +1,15 @@
 """Exact component diameters of R_k against the all-sources BFS oracle.
 
-``summarize`` runs one BFS per canonical colouring (colours renamed in order
-of first use) and reads each component's diameter off the eccentricities of
-its members' canonical forms; ``oracles.component_diameter`` runs a BFS from
-every member.  They must agree on every component, at every diameter cap.
+``summarize`` takes one BFS source per canonical colouring (colours renamed
+in order of first use), runs the sources together in bit-parallel sweeps and
+reads each component's diameter off the eccentricities of its members'
+canonical forms; ``oracles.component_diameter`` runs a BFS from every member.
+They must agree on every component, at every diameter cap.  The sweeps'
+eccentricities must also equal ``oracles.canonical_eccentricities``, one
+plain BFS per canonical root, at any sweep width.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -74,3 +79,35 @@ def test_diameter_work_is_skipped_when_not_asked(monkeypatch, compute_diameters)
     r = build_reconfiguration_graph(generate_named("path", 4), 3)
     summarize(r, compute_diameters=compute_diameters)
     assert len(calls) == (1 if compute_diameters else 0)
+
+
+def assert_sweeps_match_oracle(r):
+    want = oracles.canonical_eccentricities(r)
+    assert explorer._eccentricities(r.adjacency, sorted(want)) == want
+
+
+@pytest.mark.parametrize("width", [explorer.SWEEP_WIDTH, 1, 3])
+def test_sweeps_match_one_bfs_per_root(monkeypatch, g3_bundle, width):
+    # widths 1 and 3 split the roots into many sweeps, the last one partial
+    monkeypatch.setattr(explorer, "SWEEP_WIDTH", width)
+    cases = 0
+    for g, k in exhaustive_cases():
+        assert_sweeps_match_oracle(build_reconfiguration_graph(g, k))
+        cases += 1
+    assert cases == 1461
+    assert_sweeps_match_oracle(build_reconfiguration_graph(g3_bundle.graph, 4))
+
+
+def test_sweep_memory_is_set_by_the_width(monkeypatch):
+    # R_3(P_12): 6,144 nodes and 1,024 canonical roots, in four sweeps
+    monkeypatch.setattr(explorer, "SWEEP_WIDTH", 256)
+    r = build_reconfiguration_graph(generate_named("path", 12), 3)
+    tracemalloc.start()
+    try:
+        s = summarize(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.eccentricity_bfs_runs == 1024
+    assert s.diameter == 38
+    assert peak < 3_000_000
