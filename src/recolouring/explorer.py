@@ -124,34 +124,33 @@ class ReconfigGraph:
 def build_reconfiguration_graph(
     g: Graph, k: int, cap: int = DEFAULT_CAP
 ) -> ReconfigGraph:
-    """R_k(G) with sorted adjacency rows.  Each node links to its lower
-    neighbours, a vertex v switched from colour x to a free colour below x,
-    whose code is ``k**(n-1-v)`` times the drop lower.  Those come out in
-    ascending order, and a node's higher neighbours are appended after them
-    in ascending order, so no row needs sorting."""
-    n = g.n
+    """R_k(G) with sorted adjacency rows.  ``nodes`` holds every proper
+    k-colouring, so a switch gives a proper colouring iff its code was
+    enumerated, and the rows are found by code lookups alone.  Switching v,
+    of weight ``w = k**(n-1-v)``, down by d subtracts ``d*w``, and is a switch
+    (no borrow) iff ``code % (k*w) >= d*w``.  The shifts ``(k*w, d*w)`` run
+    with v ascending and d descending, so a node's lower neighbours come out
+    in ascending order, and its higher neighbours are appended after them in
+    ascending order: no row needs sorting."""
     nodes = enumerate_colourings(g, k, cap=cap)
     # every row holding node j shares the index's one int object for j
     index = dict(zip(nodes, range(len(nodes))))
-    nbrs_weight = [(list(bits(g.adj[v])), k ** (n - 1 - v)) for v in range(n)]
+    weights = [k ** (g.n - 1 - v) for v in range(g.n)]
+    shifts = [(k * w, d * w) for w in weights for d in range(k - 1, 0, -1)]
     adjacency: List[List[int]] = [[] for _ in nodes]
-    for code in nodes:
-        j = index[code]
-        a = decode(code, n, k)
+    for code, j in index.items():
         row = adjacency[j]
-        for x, (nbrs, weight) in zip(a, nbrs_weight):
-            if x:
-                taken = [a[u] for u in nbrs]
-                for col in range(x):
-                    if col not in taken:
-                        i = index[code - (x - col) * weight]
-                        row.append(i)
-                        adjacency[i].append(j)
+        for modulus, drop in shifts:
+            if code % modulus >= drop:
+                i = index.get(code - drop)
+                if i is not None:
+                    row.append(i)
+                    adjacency[i].append(j)
     dist = [-1] * len(nodes)  # set once a node is placed in a component
     components = [
         sorted(_bfs_order(adjacency, s, dist)) for s in range(len(nodes)) if dist[s] < 0
     ]
-    return ReconfigGraph(n, k, nodes, adjacency, components)
+    return ReconfigGraph(g.n, k, nodes, adjacency, components)
 
 
 @dataclass

@@ -140,6 +140,29 @@ def test_reconfig_edges_are_single_switches():
             assert i in r.adjacency[j]
 
 
+@pytest.mark.parametrize("name,n,k", [("cycle", 8, 4), ("path", 12, 3)])
+def test_reconfig_rows_share_one_int_per_node(name, n, k):
+    # every row holding node j holds the index's one int object for j, so
+    # the rows add no int objects beyond one per node
+    r = build_reconfiguration_graph(generate_named(name, n), k)
+    assert len({id(x) for row in r.adjacency for x in row}) <= r.node_count()
+
+
+def test_reconfig_rows_never_take_a_borrowed_code():
+    # with no edges every assignment is proper, so R_4 is the Hamming graph
+    # on 3 digits, and a drop past a zero digit would land on another node:
+    # 16 - 1 is the code of (0, 3, 3), two digits away from (1, 0, 0)
+    r = build_reconfiguration_graph(Graph(3), 4)
+    assert r.node_count() == 64 and len(r.components) == 1
+    for i, row in enumerate(r.adjacency):
+        assert len(row) == 9
+        for j in row:
+            a, b = r.assignment(i), r.assignment(j)
+            assert sum(x != y for x, y in zip(a, b)) == 1
+    assert r.assignment(16) == (1, 0, 0) and r.assignment(15) == (0, 3, 3)
+    assert 15 not in r.adjacency[16]
+
+
 def test_r4_of_k3_fixture():
     # frozen fixture: first run recorded connected with diameter 4
     r = build_reconfiguration_graph(generate_named("complete", 3), 4)

@@ -1,10 +1,12 @@
 """Enumeration, R_k and bfs_distance against the earlier routes in oracles.
 
 The library enumerates mixed-radix codes on one stack frame per vertex,
-builds R_k by code arithmetic with one flat BFS for the components, and
-measures distances by a bidirectional BFS over codes that builds no part of
-R_k; the oracles are the recursive enumeration, the tuple-indexed build with
-deque components, a BFS on the built graph, and the one-directional BFS over
+builds R_k by code arithmetic alone (a switch is proper iff its code was
+enumerated, so no edge of G is read) with one flat BFS for the components,
+and measures distances by a bidirectional BFS over codes that builds no part
+of R_k; the oracles are the recursive enumeration, the tuple-indexed build
+that checks each switch against the neighbours' colours, with deque
+components, a BFS on the built graph, and the one-directional BFS over
 assignment tuples.  They must agree on every colouring, adjacency row,
 component and distance.
 """
