@@ -68,7 +68,9 @@ def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # past the digit limit; RecursionError, arrays nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -183,8 +185,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     if g.n <= args.compact_limit:
         verdict = is_compact_bruteforce(g, limit=args.compact_limit)
         if verdict.compact:
+            cert = find_elimination_certificate(g)
             witness: Dict[str, Any] = {
-                "certificate": [_event_to_obj(e) for e in verdict.certificate.events]
+                "certificate": [_event_to_obj(e) for e in cert.events]
             }
         else:
             witness = {"failing_subset": sorted(verdict.failing_subset)}

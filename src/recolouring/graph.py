@@ -142,12 +142,6 @@ def component_mask(g: Graph, start: int, removed: int = 0) -> int:
     return comp
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return component_mask(g, 0) == g.full_mask
-
-
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True iff all pairs in s are adjacent; vacuous for |s| <= 1."""
     smask = mask_of(s)
@@ -169,13 +163,15 @@ def is_complete(g: Graph) -> bool:
 
 
 def is_anticonnected(g: Graph, s: Iterable[int]) -> bool:
-    """True iff s induces a graph whose complement is connected.
+    """True iff s induces a graph whose complement is connected: the
+    component of s's least vertex in the complement, restricted to s, is s.
 
     With ``two_pair_via_anticonnected_set``, its one caller, it reproduces
     the paper's anticonnected-set argument."""
-    keep = sorted(set(s))
-    if not keep:
+    smask = mask_of(s)
+    if not smask:
         raise ValueError("anticonnectedness is undefined for the empty set")
-    sub, _ = induced_subgraph(g, keep)
-    return is_connected(complement(sub))
-
+    if smask & ~g.full_mask:
+        raise ValueError("vertex out of range")
+    start = (smask & -smask).bit_length() - 1
+    return component_mask(complement(g), start, removed=~smask) == smask

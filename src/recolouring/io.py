@@ -12,6 +12,12 @@ class GraphFormatError(ValueError):
     """Raised on malformed graph input."""
 
 
+# The loaders refuse larger graphs before any allocation.  Each bitset row
+# takes up to n/8 bytes, so the largest graph accepted can hold about 0.3 GB
+# of adjacency (0.6 GB with the complement that recognition builds).
+MAX_VERTICES = 50_000
+
+
 def graph_to_json_obj(g: Graph) -> Dict[str, Any]:
     obj: Dict[str, Any] = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if g.labels:
@@ -27,6 +33,8 @@ def graph_from_json_obj(obj: Any) -> Graph:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphFormatError('"n" must be a non-negative integer')
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f'"n" = {n} exceeds the limit of {MAX_VERTICES}')
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be an array')
@@ -46,8 +54,11 @@ def graph_from_json_obj(obj: Any) -> Graph:
         if not (0 <= u and v < n):
             raise GraphFormatError(f"edge [{u}, {v}] out of range for n={n}")
         edges.append((u, v))
+    raw_labels = obj.get("labels") or {}
+    if not isinstance(raw_labels, dict):
+        raise GraphFormatError('"labels" must be an object')
     labels = {}
-    for key, lab in (obj.get("labels") or {}).items():
+    for key, lab in raw_labels.items():
         try:
             vid = int(key)
         except ValueError:
@@ -68,7 +79,9 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # RecursionError, arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     return graph_from_json_obj(obj)
 
@@ -99,6 +112,10 @@ def parse_dimacs(text: str) -> Graph:
             n = _dimacs_int(parts[2], lineno, "vertex count")
             if n < 0 or _dimacs_int(parts[3], lineno, "edge count") < 0:
                 raise GraphFormatError(f"line {lineno}: negative count")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+                )
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")

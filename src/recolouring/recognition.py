@@ -12,7 +12,6 @@ from .graph import (
     bits,
     complement,
     component_mask,
-    induced_subgraph,
     is_anticonnected,
     is_clique_mask,
     is_complete,
@@ -48,16 +47,24 @@ class AnticonnectedProbe:
 class CompactnessVerdict:
     compact: bool
     failing_subset: Optional[frozenset] = None
-    certificate: Optional[object] = None  # EliminationCertificate when compact
 
 
 # -- 2-pairs ----------------------------------------------------------------
 
 
-def _make_two_pair(g: Graph, x: int, y: int) -> TwoPair:
-    sep = g.adj[x] & g.adj[y]
-    cx = component_mask(g, x, removed=sep)
-    cy = component_mask(g, y, removed=sep)
+def _two_pair(g: Graph, x: int, y: int, active: int) -> Optional[TwoPair]:
+    """The 2-pair {x, y} of the subgraph induced on ``active``, or None when
+    they are not one; x and y must be nonadjacent vertices of ``active``.
+
+    Separator criterion: N(x) & N(y) puts x and y in different components.
+    The y-side is searched only once x's component is known to miss y.
+    """
+    sep = g.adj[x] & g.adj[y] & active
+    removed = sep | ~active
+    cx = component_mask(g, x, removed=removed)
+    if (cx >> y) & 1:
+        return None
+    cy = component_mask(g, y, removed=removed)
     return TwoPair(
         x,
         y,
@@ -67,22 +74,18 @@ def _make_two_pair(g: Graph, x: int, y: int) -> TwoPair:
     )
 
 
-def is_two_pair(g: Graph, x: int, y: int) -> bool:
-    """Separator criterion: N(x) & N(y) puts x and y in different components."""
-    if x == y or g.has_edge(x, y):
-        return False
-    sep = g.adj[x] & g.adj[y]
-    return not (component_mask(g, x, removed=sep) >> y) & 1
-
-
-def find_two_pairs(g: Graph) -> List[TwoPair]:
-    """All 2-pairs {x, y} with x < y, in lexicographic order."""
-    return [
-        _make_two_pair(g, x, y)
-        for x in range(g.n)
-        for y in range(x + 1, g.n)
-        if is_two_pair(g, x, y)
-    ]
+def find_two_pairs(g: Graph, active: Optional[int] = None) -> List[TwoPair]:
+    """All 2-pairs {x, y} with x < y of the subgraph induced on ``active``
+    (default: all of g), in lexicographic order and in the ids of g."""
+    if active is None:
+        active = g.full_mask
+    pairs = []
+    for x in bits(active):
+        for y in bits(active & ~g.adj[x] & (-1 << (x + 1))):
+            pair = _two_pair(g, x, y, active)
+            if pair is not None:
+                pairs.append(pair)
+    return pairs
 
 
 # -- holes, antiholes and fixed patterns: one chordless-path search -----------
@@ -312,7 +315,7 @@ def qualifying_two_pair(g: Graph) -> Optional[Tuple[TwoPair, str]]:
     if found is None:
         return None
     x, y, _, _, tag = found
-    return _make_two_pair(g, x, y), tag
+    return _two_pair(g, x, y, g.full_mask), tag
 
 
 def subgraph_passes_compactness(g: Graph, active: Optional[int] = None) -> bool:
@@ -327,8 +330,7 @@ def is_compact_bruteforce(g: Graph, limit: int = 12) -> CompactnessVerdict:
     """Check every nonempty induced subgraph against the compactness cases.
 
     Subsets are enumerated in increasing size, then lexicographically, so a
-    failing witness is the least minimum-size one.  On success the verdict
-    carries an elimination certificate for the whole graph.
+    failing witness is the least minimum-size one.
     """
     if g.n > limit:
         raise ValueError(f"n={g.n} exceeds the brute-force limit {limit}")
@@ -336,12 +338,7 @@ def is_compact_bruteforce(g: Graph, limit: int = 12) -> CompactnessVerdict:
         for subset in combinations(range(g.n), size):
             if not subgraph_passes_compactness(g, mask_of(subset)):
                 return CompactnessVerdict(False, failing_subset=frozenset(subset))
-    from .recolour import find_elimination_certificate  # avoid import cycle
-
-    cert = find_elimination_certificate(g)
-    if cert is None:
-        raise AssertionError("compact graph without elimination certificate")
-    return CompactnessVerdict(True, certificate=cert)
+    return CompactnessVerdict(True)
 
 
 # -- the anticonnected-set 2-pair finder --------------------------------------
@@ -364,45 +361,28 @@ def two_pair_via_anticonnected_set(
         raise ValueError("input graph must be weakly chordal")
 
     def t_complete(t_mask: int) -> int:
-        d = 0
-        for v in range(g.n):
-            if (t_mask >> v) & 1:
-                continue
-            if t_mask & ~g.adj[v] == 0:
-                d |= 1 << v
+        d = g.full_mask  # no vertex is its own neighbour, so none of T stays
+        for t in bits(t_mask):
+            d &= g.adj[t]
         return d
-
-    def has_nonadjacent_pair(mask: int) -> bool:
-        vs = list(bits(mask))
-        return any(
-            not g.has_edge(u, v) for u, v in combinations(vs, 2)
-        )
 
     t_mask = 1 << m
     grown = True
     while grown:
         grown = False
-        for t in range(g.n):
-            if (t_mask >> t) & 1:
-                continue
+        for t in bits(g.full_mask & ~t_mask):
             cand = t_mask | (1 << t)
-            if not is_anticonnected(g, bits(cand)):
-                continue
-            if not has_nonadjacent_pair(t_complete(cand)):
-                continue
-            t_mask = cand
-            grown = True
-            break
+            if not is_clique_mask(g, t_complete(cand)) and is_anticonnected(g, bits(cand)):
+                t_mask = cand
+                grown = True
+                break
 
     d_mask = t_complete(t_mask)
-    sub, mapping = induced_subgraph(g, bits(d_mask))
-    inverse = {new: old for old, new in mapping.items()}
-    pairs = find_two_pairs(sub)
+    pairs = find_two_pairs(g, d_mask)
     if not pairs:
         raise RuntimeError("no 2-pair found in the T-complete set")
-    local = pairs[0]
-    x, y = inverse[local.x], inverse[local.y]
-    if not is_two_pair(g, x, y):
+    pair = _two_pair(g, pairs[0].x, pairs[0].y, g.full_mask)
+    if pair is None:
         raise RuntimeError("extracted pair is not a 2-pair of the host graph")
     probe = AnticonnectedProbe(frozenset(bits(t_mask)), frozenset(bits(d_mask)))
-    return probe, _make_two_pair(g, x, y)
+    return probe, pair

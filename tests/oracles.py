@@ -78,7 +78,7 @@ from recolouring.graph import (
 )
 from recolouring.recognition import (
     TwoPair,
-    _make_two_pair,
+    _two_pair,
     chromatic_number,
     find_two_pairs,
 )
@@ -122,13 +122,13 @@ def qualifying_two_pair(g: Graph) -> Optional[Tuple[TwoPair, str]]:
     oriented.sort()
     for x, y in oriented:
         if g.adj[x] & ~g.adj[y] == 0:
-            return _make_two_pair(g, x, y), "ii"
+            return _two_pair(g, x, y, g.full_mask), "ii"
     for x, y in oriented:
         sep = g.adj[x] & g.adj[y]
         cx = component_mask(g, x, removed=sep)
         union = cx | sep
         if union.bit_count() <= 3 and is_clique(g, bits(union)):
-            return _make_two_pair(g, x, y), "iii"
+            return _two_pair(g, x, y, g.full_mask), "iii"
     return None
 
 

@@ -285,6 +285,29 @@ def test_validate_rejects_invalid_json(tmp_path, capsys, content):
     assert captured.err.startswith(f"error: {seq}: invalid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    # arrays nested past the recursion limit; an integer past the digit limit
+    [b"[" * 200_000 + b"]" * 200_000, b"[" + b"1" * 5000 + b"]"],
+    ids=["deep", "long-int"],
+)
+@pytest.mark.parametrize("kind", ["graph", "colouring", "sequence"])
+def test_unreadable_json_names_the_file(tmp_path, capsys, content, kind):
+    graph = write_json(tmp_path / "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
+    colouring = write_json(tmp_path / "a.json", [0, 1, 0])
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "graph": ["export-dot", str(bad)],
+        "colouring": ["recolour", graph, "--k", "3", "--from", str(bad), "--to", colouring],
+        "sequence": ["validate", graph, "--seq", str(bad)],
+    }[kind]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: invalid JSON: ")
+
+
 def test_colouring_files_reject_booleans(tmp_path, capsys):
     graph = write_json(tmp_path / "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
     good = write_json(tmp_path / "a.json", [1, 0, 1])
@@ -399,6 +422,18 @@ def test_dimacs_input(tmp_path, capsys, schema_validator):
             "bin.json",
             b"\xff\xfe",
             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+        ("list.json", b'{"n": 2, "edges": [], "labels": [1]}', '"labels" must be an object'),
+        ("str.json", b'{"n": 2, "edges": [], "labels": "ab"}', '"labels" must be an object'),
+        (
+            "huge.json",
+            b'{"n": 1000000000000, "edges": []}',
+            '"n" = 1000000000000 exceeds the limit of 50000',
+        ),
+        (
+            "huge.col",
+            b"p edge 1000000000000 0\n",
+            "line 1: vertex count 1000000000000 exceeds the limit of 50000",
         ),
     ],
 )

@@ -108,6 +108,17 @@ def test_is_anticonnected():
         is_anticonnected(c4, [])
 
 
+def test_is_anticonnected_matches_the_induced_copy():
+    # the definition: the complement of the induced copy is connected
+    for n in range(1, 6):
+        for g in all_labelled_graphs(n):
+            for active in range(1, 1 << n):
+                s = [v for v in range(n) if (active >> v) & 1]
+                co = complement(induced_subgraph(g, s)[0])
+                expected = component_mask(co, 0) == co.full_mask
+                assert is_anticonnected(g, s) == expected, (g, s)
+
+
 def test_long_chordless_path():
     p4 = generate_named("path", 4)
     assert has_long_chordless_path(p4, 0, 3)

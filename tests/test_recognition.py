@@ -20,7 +20,7 @@ from recolouring import (
     qualifying_two_pair,
     two_pair_via_anticonnected_set,
 )
-from recolouring.graph import induced_subgraph
+from recolouring.graph import bits, induced_subgraph
 
 import oracles
 from conftest import all_labelled_graphs, small_graphs
@@ -59,6 +59,30 @@ def test_two_pair_fields():
 @given(small_graphs(max_n=7))
 def test_separator_criterion_matches_path_oracle(g):
     assert {(p.x, p.y) for p in find_two_pairs(g)} == pair_oracle(g)
+
+
+def test_two_pairs_on_active_mask_match_the_induced_copy():
+    # every non-empty mask of every labelled graph on at most 5 vertices
+    for n in range(1, 6):
+        for g in all_labelled_graphs(n):
+            for active in range(1, 1 << n):
+                sub, mapping = induced_subgraph(g, bits(active))
+                host = sorted(mapping)  # new id -> old id
+                expected = [
+                    (
+                        host[p.x],
+                        host[p.y],
+                        {host[v] for v in p.separator},
+                        {host[v] for v in p.component_of_x},
+                        {host[v] for v in p.component_of_y},
+                    )
+                    for p in find_two_pairs(sub)
+                ]
+                got = [
+                    (p.x, p.y, p.separator, p.component_of_x, p.component_of_y)
+                    for p in find_two_pairs(g, active)
+                ]
+                assert got == expected, (g, active)
 
 
 def test_hole_detection():
