@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional
 
+from . import io
 from .explorer import Colouring, is_frozen, is_proper
 from .graph import Graph, complement
 from .recognition import (
@@ -20,6 +21,12 @@ from .recognition import (
     is_compact_bruteforce,
     is_weakly_chordal,
 )
+
+
+def _check_vertex_count(n: int) -> None:
+    """Refuse, before any allocation, a graph the loaders would refuse."""
+    if n > io.MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {io.MAX_VERTICES}")
 
 
 @dataclass
@@ -50,6 +57,7 @@ def generate_gk(k: int) -> GkBundle:
     """
     if k < 3:
         raise ValueError("k must be at least 3")
+    _check_vertex_count(4 * k - 2)
     size = k - 1
     x, y = 0, 1
     u = list(range(2, 2 + size))
@@ -78,7 +86,7 @@ def generate_gk(k: int) -> GkBundle:
     for i, vid in enumerate(z, start=1):
         labels[vid] = f"z{i}"
 
-    g = Graph(n, [(min(a, b), max(a, b)) for a, b in edges], labels=labels)
+    g = Graph(n, edges, labels=labels)
     # colours of x and y, then of the u, v, w and z blocks; past its second
     # member, each block is coloured 3, 4, ..., k-1 (base) or 4, 5, ..., k
     tail = list(range(3, k))
@@ -100,6 +108,7 @@ def generate_named(name: str, n: Optional[int] = None) -> Graph:
     if name in parametric:
         if n is None:
             raise ValueError(f"generator {name!r} requires a size parameter")
+        _check_vertex_count(2 * n if name == "complete_bipartite_minus_matching" else n)
     elif name in fixed:
         if n is not None:
             raise ValueError(f"generator {name!r} takes no size parameter")
@@ -140,6 +149,7 @@ def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi sample."""
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -154,6 +164,7 @@ def random_cochordal(n: int, seed: int) -> Graph:
     order; every sample passes the co-chordal recognizer."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     adj = [set() for _ in range(n)]
     for v in range(1, n):
@@ -192,12 +203,8 @@ def _twin_blowup(base: Graph) -> Graph:
     n = base.n
     edges = [(2 * v, 2 * v + 1) for v in range(n)]
     for u, v in base.edges():
-        edges.extend(
-            ((min(a, b), max(a, b)))
-            for a in (2 * u, 2 * u + 1)
-            for b in (2 * v, 2 * v + 1)
-        )
-    return Graph(2 * n, sorted(set(edges)))
+        edges.extend((a, b) for a in (2 * u, 2 * u + 1) for b in (2 * v, 2 * v + 1))
+    return Graph(2 * n, edges)
 
 
 def _candidate_check(g: Graph) -> Optional[Dict]:
@@ -291,7 +298,7 @@ def search_h(
         while time.monotonic() < deadline and not enough():
             p = rng.uniform(0.3, 0.8)
             edges = set(e for e in all_pairs if rng.random() < p)
-            g = Graph(n, sorted(edges))
+            g = Graph(n, edges)
             if consider(g):
                 continue
             # a few local edge flips around the sample
@@ -304,7 +311,7 @@ def search_h(
                     edges2.remove(e)
                 else:
                     edges2.add(e)
-                consider(Graph(n, sorted(edges2)))
+                consider(Graph(n, edges2))
 
     # deterministic report order: by canonical adjacency encoding
     order = sorted(

@@ -8,7 +8,6 @@ immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -61,6 +60,13 @@ class Graph:
             if not (0 <= v < n):
                 raise ValueError(f"label id {v} out of range")
 
+    @classmethod
+    def _from_rows(cls, n: int, rows: List[int], labels: Dict[int, str]) -> "Graph":
+        """Wrap finished bitset rows; the caller has already checked them."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g.labels = n, rows, labels
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -87,9 +93,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def label(self, v: int) -> str:
-        return self.labels.get(v, str(v))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -107,10 +110,9 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """The graph with edge {u,v} exactly when g has none; labels preserved."""
-    out = Graph(g.n, labels=g.labels)
     full = g.full_mask
-    out.adj = [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)]
-    return out
+    rows = [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)]
+    return Graph._from_rows(g.n, rows, dict(g.labels))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
@@ -120,13 +122,10 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     mapping = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (mapping[u], mapping[v])
-        for u, v in combinations(keep, 2)
-        if g.has_edge(u, v)
-    ]
+    kept = mask_of(keep)
+    rows = [mask_of(mapping[u] for u in bits(g.adj[v] & kept)) for v in keep]
     labels = {mapping[v]: g.labels[v] for v in keep if v in g.labels}
-    return Graph(len(keep), edges, labels=labels), mapping
+    return Graph._from_rows(len(keep), rows, labels), mapping
 
 
 def component_mask(g: Graph, start: int, removed: int = 0) -> int:

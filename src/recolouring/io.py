@@ -31,20 +31,17 @@ def graph_from_json_obj(obj: Any) -> Graph:
     if "n" not in obj or "edges" not in obj:
         raise GraphFormatError('graph JSON requires fields "n" and "edges"')
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if type(n) is not int or n < 0:
         raise GraphFormatError('"n" must be a non-negative integer')
     if n > MAX_VERTICES:
         raise GraphFormatError(f'"n" = {n} exceeds the limit of {MAX_VERTICES}')
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be an array')
-    edges = []
+    rows = [0] * n
     for e in raw_edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
+        # JSON integers load as exactly int; bool, a subclass of int, is rejected
+        if not isinstance(e, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise GraphFormatError(f"bad edge entry: {e!r}")
         u, v = e
         if u == v:
@@ -53,23 +50,26 @@ def graph_from_json_obj(obj: Any) -> Graph:
             raise GraphFormatError(f"edge [{u}, {v}] must satisfy u < v")
         if not (0 <= u and v < n):
             raise GraphFormatError(f"edge [{u}, {v}] out of range for n={n}")
-        edges.append((u, v))
-    raw_labels = obj.get("labels") or {}
+        if (rows[u] >> v) & 1:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    raw_labels = {} if obj.get("labels") is None else obj["labels"]
     if not isinstance(raw_labels, dict):
         raise GraphFormatError('"labels" must be an object')
     labels = {}
     for key, lab in raw_labels.items():
+        # only the form graph_to_json_obj writes, so no two keys name one id
         try:
             vid = int(key)
         except ValueError:
+            vid = None
+        if vid is None or key != str(vid):
             raise GraphFormatError(f"label key {key!r} is not a decimal id")
         if not (0 <= vid < n) or not isinstance(lab, str):
             raise GraphFormatError(f"bad label entry {key!r}: {lab!r}")
         labels[vid] = lab
-    try:
-        return Graph(n, edges, labels=labels)
-    except ValueError as exc:  # duplicates
-        raise GraphFormatError(str(exc)) from exc
+    return Graph._from_rows(n, rows, labels)
 
 
 def graph_to_json(g: Graph) -> str:
@@ -98,12 +98,10 @@ def _dimacs_int(token: str, lineno: int, what: str) -> int:
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS .col ("p edge n m" / "e u v", 1-based ids) to a Graph."""
     n = None
-    edges = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
         parts = line.split()
+        if not parts or parts[0].startswith("c"):
+            continue
         if parts[0] == "p":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate problem line")
@@ -116,6 +114,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(
                     f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
                 )
+            rows = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
@@ -127,12 +126,14 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: self-loop")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"line {lineno}: vertex out of range")
-            edges.add((min(u, v), max(u, v)))
+            # repeated and reversed edges are legal DIMACS and set the same bits
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing problem line")
-    return Graph(n, sorted(edges))
+    return Graph._from_rows(n, rows, {})
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

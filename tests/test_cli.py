@@ -89,6 +89,28 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert code == 0
 
 
+def test_gen_refuses_more_vertices_than_the_loaders(capsys, monkeypatch):
+    limit = recolouring.io.MAX_VERTICES
+    code = main(["gen", "named", "--name", "path", "--n", str(limit + 1)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {limit + 1} vertices exceed the limit of {limit}\n"
+    monkeypatch.setattr(recolouring.io, "MAX_VERTICES", 10)
+    for argv, n in (
+        (["gk", "--k", "4"], 14),
+        (["random", "--n", "11", "--seed", "0"], 11),
+        (["random", "--n", "11", "--seed", "0", "--class", "cochordal"], 11),
+        (["named", "--name", "complete_bipartite_minus_matching", "--n", "6"], 12),
+    ):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {n} vertices exceed the limit of 10\n"
+    # the limit itself is allowed
+    assert run(capsys, "gen", "gk", "--k", "3")[0] == 0
+    assert run(capsys, "gen", "named", "--name", "path", "--n", "10")[0] == 0
+
+
 def test_recognize_report(tmp_path, capsys, schema_validator):
     path = write_json(tmp_path / "c6.json", {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]})
     code, obj = run_json(capsys, schema_validator, "recognize", path)
@@ -424,6 +446,8 @@ def test_dimacs_input(tmp_path, capsys, schema_validator):
             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
         ),
         ("list.json", b'{"n": 2, "edges": [], "labels": [1]}', '"labels" must be an object'),
+        ("empty.json", b'{"n": 2, "edges": [], "labels": []}', '"labels" must be an object'),
+        ("key.json", b'{"n": 2, "edges": [], "labels": {"+1": "a"}}', "label key '+1' is not a decimal id"),
         ("str.json", b'{"n": 2, "edges": [], "labels": "ab"}', '"labels" must be an object'),
         (
             "huge.json",

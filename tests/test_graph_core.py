@@ -78,6 +78,19 @@ def test_induced_subgraph_rejects_out_of_range():
         induced_subgraph(Graph(3), [0, 5])
 
 
+@given(small_graphs(max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_induced_subgraph_matches_pairwise_edges(g):
+    g = Graph(g.n, g.edges(), labels={v: f"l{v}" for v in range(0, g.n, 2)})
+    for keep in (range(0, g.n, 2), range(1, g.n), [v for v in range(g.n) if v % 3]):
+        sub, mapping = induced_subgraph(g, keep)
+        assert list(mapping) == list(keep)
+        pairs = itertools.combinations(keep, 2)
+        want = Graph(len(keep), [(mapping[u], mapping[v]) for u, v in pairs if g.has_edge(u, v)])
+        assert sub.adj == want.adj
+        assert sub.labels == {mapping[v]: g.labels[v] for v in keep if v in g.labels}
+
+
 def test_components_of_disjoint_cliques():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     assert [component_mask(g, v) for v in range(5)] == [0b00111] * 3 + [0b11000] * 2
